@@ -43,14 +43,15 @@ for p, q in [(2.0, 2.0), (3.0, 2.0), (2.0, 4.0)]:
     print(f"||c||_(l^{p:.1f},{q:.1f}) = {coeffs.seq_mixed_norm(p, q):.6f}")
 print()
 
-print("=== empirical stability bracket (100 random unit grids) ===")
-lo, hi = estimate_stability(phi, 2.0, 2.0, N=2, trials=100, seed=0)
-print(f"norm of synthesized unit-coefficient functions lies in "
-      f"[{lo:.6f}, {hi:.6f}]")
-print("(an upper estimate of the lower stability constant and a lower")
-print(" estimate of the upper one; not certified bounds)")
+print("=== stability constants ===")
+lo, hi = estimate_stability(phi, 2.0, 2.0, N=2)
+print(f"p = q = 2, exact from the Gram eigenvalues: [{lo:.6f}, {hi:.6f}]")
+lo, hi = estimate_stability(phi, 3.0, 2.0, N=2, trials=100, seed=0)
+print(f"p = 3, q = 2, over 100 random unit grids:    [{lo:.6f}, {hi:.6f}]")
+print("(the random bracket is an upper estimate of the lower constant and a")
+print(" lower estimate of the upper one; not certified bounds)")
 
 # an orthonormal case for contrast: integer shifts of the box are orthonormal
 haar = GeneratorSet((tensor_bspline([0, 0]),), 1.0, 2.0, 2.0, 1.0, 1.0)
-lo, hi = estimate_stability(haar, 2.0, 2.0, N=2, trials=50, seed=1)
-print(f"box-generator bracket (orthonormal shifts): [{lo:.12f}, {hi:.12f}]")
+lo, hi = estimate_stability(haar, 2.0, 2.0, N=2)
+print(f"box-generator constants (orthonormal shifts): [{lo:.12f}, {hi:.12f}]")

@@ -18,8 +18,12 @@ import json
 import math
 from dataclasses import asdict, dataclass
 
+import numpy as np
+
 
 LOG_MAX = 709.0  # exp overflow threshold for IEEE doubles
+SERIES_TOL = 1e-10  # bound on the neglected tail of the lattice decay sums
+SERIES_BLOCK = 1 << 16  # shells summed per numpy block
 
 
 @dataclass(frozen=True)
@@ -68,11 +72,6 @@ class SpaceParams:
         return self.q / (self.q - 1.0)
 
     @property
-    def dim_count(self) -> float:
-        """r (2N+1)^(d+1), the coefficient count of the finite subspace."""
-        return self.r * (2.0 * self.N + 1.0) ** (self.d + 1)
-
-    @property
     def region_factor(self) -> float:
         """(2 K1)^(q-1) (2 K2)^(d (p-1)); denominator of the lower constants."""
         return (2.0 * self.K1) ** (self.q - 1.0) * (2.0 * self.K2) ** (self.d * (self.p - 1.0))
@@ -108,27 +107,26 @@ def _jsonable(v: float) -> float | str:
     return v
 
 
-def lattice_decay_sum(exponent: float, dim: int, tol: float = 1e-10) -> float:
+def lattice_decay_sum(exponent: float, dim: int) -> float:
     """Sum over Z^dim of (1 + |k|)^(-exponent) with |k| the max norm.
 
-    Summed by shells |k| = s; the tail is bounded by an integral
-    comparison and the sum stops once that bound drops below tol.
+    Summed by shells |k| = s, SERIES_BLOCK shells at a time, up to the first
+    shell at which an integral comparison bounds the tail below SERIES_TOL.
     Diverges unless exponent > dim.
     """
     if exponent <= dim:
         raise ValueError(f"series diverges: exponent {exponent} must exceed dimension {dim}")
+    # last: the first shell s with 2 dim 3^(dim-1) (1+s)^(dim-e) / (e-dim) < SERIES_TOL
+    scale = SERIES_TOL * (exponent - dim) / (2 * dim * 3 ** (dim - 1))
+    last = max(1, math.floor(scale ** (1.0 / (dim - exponent))))
     total = 1.0  # shell s = 0
-    s = 1
-    while True:
-        count = (2 * s + 1) ** dim - (2 * s - 1) ** dim
-        total += count * (1.0 + s) ** (-exponent)
-        tail = 2 * dim * 3 ** (dim - 1) * (1.0 + s) ** (dim - exponent) / (exponent - dim)
-        if tail < tol:
-            return total
-        s += 1
+    for start in range(1, last + 1, SERIES_BLOCK):
+        s = np.arange(start, min(start + SERIES_BLOCK, last + 1), dtype=float)
+        total += float(np.sum(((2 * s + 1) ** dim - (2 * s - 1) ** dim) * (1.0 + s) ** (-exponent)))
+    return total
 
 
-def c_star(params: SpaceParams, series_tol: float = 1e-10) -> float:
+def c_star(params: SpaceParams) -> float:
     """Decay constant entering every probability bound.
 
     4 c~ / (2^((p+q)/pq) alpha1) times the two decay-series factors with
@@ -137,15 +135,13 @@ def c_star(params: SpaceParams, series_tol: float = 1e-10) -> float:
     p, q = params.p, params.q
     e1 = params.s1 * p / (p - 1.0)
     e2 = params.s2 * q / (q - 1.0)
-    if e1 <= 1 or e2 <= params.d:
-        raise ValueError("decay exponents too small: series for c* diverges")
-    S1 = lattice_decay_sum(e1, 1, series_tol)
-    S2 = lattice_decay_sum(e2, params.d, series_tol)
+    S1 = lattice_decay_sum(e1, 1)
+    S2 = lattice_decay_sum(e2, params.d)
     pref = 4.0 * params.decay_c / (2.0 ** ((p + q) / (p * q)) * params.alpha1)
     return pref * S1 ** ((p - 1.0) / p) * S2 ** ((q - 1.0) / q)
 
 
-def c_prime(params: SpaceParams, series_tol: float = 1e-10) -> float:
+def c_prime(params: SpaceParams) -> float:
     """Constant in the sup-norm versus mixed-norm comparison on V_N.
 
     2^(1/p' + 1/q') c~ / alpha1 times the decay series with conjugate
@@ -154,10 +150,8 @@ def c_prime(params: SpaceParams, series_tol: float = 1e-10) -> float:
     pc, qc = params.p_conj, params.q_conj
     e1 = params.s1 * pc
     e2 = params.s2 * qc
-    if e1 <= 1 or e2 <= params.d:
-        raise ValueError("decay exponents too small: series for c' diverges")
-    S1 = lattice_decay_sum(e1, 1, series_tol)
-    S2 = lattice_decay_sum(e2, params.d, series_tol)
+    S1 = lattice_decay_sum(e1, 1)
+    S2 = lattice_decay_sum(e2, params.d)
     pref = 2.0 ** (1.0 / pc + 1.0 / qc) * params.decay_c / params.alpha1
     return pref * S1 ** (1.0 / pc) * S2 ** (1.0 / qc)
 
@@ -191,17 +185,18 @@ def deviation_threshold(params: SpaceParams, n: int, m: int) -> float:
     return base * (1.0 + math.sqrt(inner)) * params.psi_l11
 
 
-def amplitude_constants(params: SpaceParams, cs: float) -> tuple[float, float, float, float]:
-    """(A1, log A1, A2, log A2): covering amplitudes of the uniform tail bound."""
-    M = params.dim_count
+def amplitude_constants(params: SpaceParams, cs: float,
+                        N: float | None = None) -> tuple[float, float, float, float]:
+    """(A1, log A1, A2, log A2) of the uniform tail bound at shift radius N (or params.N)."""
+    N = params.N if N is None else N
+    M = params.r * (2.0 * N + 1.0) ** (params.d + 1)
     log_a1 = math.log(2.0) + M * math.log(4.0 * cs + 1.0)
     log_a2 = (math.log(4.0) + M * math.log((2.0 * cs + 0.25) * (cs + 0.25))
-              - math.log(3.0 * params.r * math.log(2.0) ** 2 * (2.0 * params.N + 1.0) ** (params.d + 1)))
+              - math.log(3.0 * params.r * math.log(2.0) ** 2 * (2.0 * N + 1.0) ** (params.d + 1)))
     return _safe_exp(log_a1), log_a1, _safe_exp(log_a2), log_a2
 
 
-def uniform_tail_bound(lam: float, params: SpaceParams, n: int, m: int,
-                       series_tol: float = 1e-10) -> float:
+def uniform_tail_bound(lam: float, params: SpaceParams, n: int, m: int) -> float:
     """Tail bound for the sup over the unit ball of |sum of Y statistics|.
 
     Only valid above the deviation threshold; smaller deviations are
@@ -210,7 +205,7 @@ def uniform_tail_bound(lam: float, params: SpaceParams, n: int, m: int,
     thresh = deviation_threshold(params, n, m)
     if lam <= thresh:
         raise ValueError(f"deviation {lam} must exceed the threshold {thresh}")
-    cs = c_star(params, series_tol)
+    cs = c_star(params)
     W = params.psi_l11
     a1, log_a1, a2, log_a2 = amplitude_constants(params, cs)
     t1 = log_a1 - lam * lam / (4.0 * cs * W * (2.0 * n * m * cs * W + lam / 3.0))
@@ -220,6 +215,13 @@ def uniform_tail_bound(lam: float, params: SpaceParams, n: int, m: int,
 
 def _safe_exp(x: float) -> float:
     return math.inf if x > LOG_MAX else math.exp(x)
+
+
+def _rates(u: float, cs: float, D: float) -> tuple[float, float]:
+    """(beta1, beta2): exponential rates of the probability bound for margin u."""
+    beta1 = (1.0 / D) * (math.sqrt(3.0) / 2.0 * u) ** 2 / (6.0 * D + u)
+    beta2 = (1.0 / D) * (u * cs) ** 2 / (18.0 * math.sqrt(2.0) * (81.0 * D + 2.0 * u * cs))
+    return beta1, beta2
 
 
 def _probability(log_a1: float, beta1: float, log_a2: float, beta2: float,
@@ -232,7 +234,7 @@ def _probability(log_a1: float, beta1: float, log_a2: float, beta2: float,
 
 
 def omega_class_report(params: SpaceParams, gamma: float, omega: float,
-                       n: int, m: int, series_tol: float = 1e-10) -> BoundReport:
+                       n: int, m: int) -> BoundReport:
     """Sampling-inequality constants for signals with conv norm at least omega.
 
     Computes the frame constants A_gamma_omega and B_gamma_omega, the
@@ -245,7 +247,7 @@ def omega_class_report(params: SpaceParams, gamma: float, omega: float,
         raise ValueError("omega must lie in (0, ||psi||_L11]")
     p, q, d = params.p, params.q, params.d
     W = params.psi_l11
-    cs = c_star(params, series_tol)
+    cs = c_star(params)
     D = params.region_factor
     pq = p * q
 
@@ -260,8 +262,7 @@ def omega_class_report(params: SpaceParams, gamma: float, omega: float,
             * n * m + T * n * m)
 
     u = gamma * params.rho_lower * (omega / (cs * W)) ** pq
-    beta1 = (1.0 / D) * (math.sqrt(3.0) / 2.0 * u) ** 2 / (6.0 * D + u)
-    beta2 = (1.0 / D) * (u * cs) ** 2 / (18.0 * math.sqrt(2.0) * (81.0 * D + 2.0 * u * cs))
+    beta1, beta2 = _rates(u, cs, D)
     a1, log_a1, a2, log_a2 = amplitude_constants(params, cs)
     raw, clamped, t1, t2 = _probability(log_a1, beta1, log_a2, beta2, n, m)
 
@@ -284,7 +285,7 @@ def omega_class_report(params: SpaceParams, gamma: float, omega: float,
 
 
 def mu_class_report(params: SpaceParams, mu: float, eta: float,
-                    n: int, m: int, series_tol: float = 1e-10) -> BoundReport:
+                    n: int, m: int) -> BoundReport:
     """Sampling-inequality constants for the average-mass signal class.
 
     Frame constants bound the plain sum of |f * psi| over the samples; the
@@ -296,7 +297,7 @@ def mu_class_report(params: SpaceParams, mu: float, eta: float,
         raise ValueError("eta must lie in (0, mu * rho_lower)")
     p, q, d = params.p, params.q, params.d
     W = params.psi_l11
-    cs = c_star(params, series_tol)
+    cs = c_star(params)
 
     nm_min = (54.0 * params.r * math.sqrt(2.0) * math.log(2.0)
               * (2.0 * params.N + 1.0) ** (d + 1) / eta) * (2.0 + 81.0 / eta)
@@ -345,23 +346,19 @@ def approximation_radius(K1: float, K2: float, eps: float, params: SpaceParams,
     den2 = (params.s2 * qc - d) ** (1.0 / qc)
     ct = params.decay_c
     if which == "N1":
-        head = ct * K1 ** (1.0 / p) * K2 ** (d / q)
-        two = 2.0 ** (d + 1)
-        t1 = head * d ** (1.0 / qc) * (1.0 + K2) ** ((d - 1.0) / qc + 1.0 / pc) * two / (params.alpha1 * eps * den2)
-        t2 = head * (1.0 + K1) ** (d / qc) * two / (params.alpha1 * eps * den1)
-        t3 = head * d ** (1.0 / qc) * (1.0 + K2) ** ((d - 1.0) / qc) * two / (params.alpha1 * eps * den1 * den2)
+        head, two = ct * K1 ** (1.0 / p) * K2 ** (d / q), 2.0 ** (d + 1)
     elif which == "N2":
-        two = 2.0 ** (1.0 / pc + d / qc)
-        t1 = ct * d ** (1.0 / qc) * (1.0 + K2) ** ((d - 1.0) / qc + 1.0 / pc) * two / (params.alpha1 * eps * den2)
-        t2 = ct * (1.0 + K1) ** (d / qc) * two / (params.alpha1 * eps * den1)
-        t3 = ct * d ** (1.0 / qc) * (1.0 + K2) ** ((d - 1.0) / qc) * two / (params.alpha1 * eps * den1 * den2)
+        head, two = ct, 2.0 ** (1.0 / pc + d / qc)
     else:
         raise ValueError("which must be 'N1' or 'N2'")
+    t1 = head * d ** (1.0 / qc) * (1.0 + K2) ** ((d - 1.0) / qc + 1.0 / pc) * two / (params.alpha1 * eps * den2)
+    t2 = head * (1.0 + K1) ** (d / qc) * two / (params.alpha1 * eps * den1)
+    t3 = head * d ** (1.0 / qc) * (1.0 + K2) ** ((d - 1.0) / qc) * two / (params.alpha1 * eps * den1 * den2)
     return max(K1, K2) + (t1 + t2 + t3) ** (1.0 / s)
 
 
 def concentration_class_report(params: SpaceParams, delta: float, eps: float, gamma: float,
-                               n: int, m: int, series_tol: float = 1e-10) -> BoundReport:
+                               n: int, m: int) -> BoundReport:
     """Sampling-inequality constants for energy-concentrated signals.
 
     The shift radius is not free here: it is forced by the truncation
@@ -377,7 +374,7 @@ def concentration_class_report(params: SpaceParams, delta: float, eps: float, ga
         raise ValueError(f"gamma must lie in (0, {gamma_cap:.6g})")
     p, q, d = params.p, params.q, params.d
     W = params.psi_l11
-    cs = c_star(params, series_tol)
+    cs = c_star(params)
     D = params.region_factor
     pq = p * q
 
@@ -400,12 +397,8 @@ def concentration_class_report(params: SpaceParams, delta: float, eps: float, ga
 
     # rates and amplitudes as in the omega-class report, at the forced radius
     u = gamma * params.rho_lower * (omega / (cs * W)) ** pq
-    beta1 = (1.0 / D) * (math.sqrt(3.0) / 2.0 * u) ** 2 / (6.0 * D + u)
-    beta2 = (1.0 / D) * (u * cs) ** 2 / (18.0 * math.sqrt(2.0) * (81.0 * D + 2.0 * u * cs))
-    M = params.r * (2.0 * N_real + 1.0) ** (d + 1)
-    log_a1 = math.log(2.0) + M * math.log(4.0 * cs + 1.0)
-    log_a2 = (math.log(4.0) + M * math.log((2.0 * cs + 0.25) * (cs + 0.25))
-              - math.log(3.0 * params.r * math.log(2.0) ** 2 * (2.0 * N_real + 1.0) ** (d + 1)))
+    beta1, beta2 = _rates(u, cs, D)
+    a1, log_a1, a2, log_a2 = amplitude_constants(params, cs, N_real)
     raw, clamped, t1, t2 = _probability(log_a1, beta1, log_a2, beta2, n, m)
 
     T = gamma * params.rho_lower * (cs * W) ** (1.0 - pq) * omega ** pq / D
@@ -419,8 +412,8 @@ def concentration_class_report(params: SpaceParams, delta: float, eps: float, ga
             "c_star": cs,
             "A": A, "B": B, "omega": omega,
             "N_required": N_real, "N_required_ceil": float(math.ceil(N_real)),
-            "A1": _safe_exp(log_a1), "log_A1": log_a1, "beta1": beta1,
-            "A2": _safe_exp(log_a2), "log_A2": log_a2, "beta2": beta2,
+            "A1": a1, "log_A1": log_a1, "beta1": beta1,
+            "A2": a2, "log_A2": log_a2, "beta2": beta2,
             "nm_min": nm_min, "nm": float(n * m),
             "log_term1": t1, "log_term2": t2,
             "probability_raw": raw, "probability": clamped,
@@ -431,30 +424,29 @@ def concentration_class_report(params: SpaceParams, delta: float, eps: float, ga
 
 
 def reconstruction_probability(params: SpaceParams, gamma: float, beta_tilde: float,
-                               n: int, m: int, series_tol: float = 1e-10) -> float:
+                               n: int, m: int) -> float:
     """Raw success probability of exact reconstruction on the finite subspace.
 
     Uses the conv-system lower bound beta_tilde in place of the omega
     margin; the returned value may be negative (vacuous bound).
     """
-    return reconstruction_report(params, gamma, beta_tilde, n, m, series_tol)["probability_raw"]
+    return reconstruction_report(params, gamma, beta_tilde, n, m)["probability_raw"]
 
 
 def reconstruction_report(params: SpaceParams, gamma: float, beta_tilde: float,
-                          n: int, m: int, series_tol: float = 1e-10) -> BoundReport:
+                          n: int, m: int) -> BoundReport:
     if not 0.0 < gamma < 1.0:
         raise ValueError("gamma must lie in (0, 1)")
     if beta_tilde <= 0:
         raise ValueError("beta_tilde must be positive")
     p, q = params.p, params.q
     W = params.psi_l11
-    cs = c_star(params, series_tol)
+    cs = c_star(params)
     D = params.region_factor
     pq = p * q
 
     u = gamma * params.rho_lower * (beta_tilde / (params.alpha2 * cs) / W) ** pq
-    beta1 = (1.0 / D) * (math.sqrt(3.0) / 2.0 * u) ** 2 / (6.0 * D + u)
-    beta2 = (1.0 / D) * (u * cs) ** 2 / (18.0 * math.sqrt(2.0) * (81.0 * D + 2.0 * u * cs))
+    beta1, beta2 = _rates(u, cs, D)
     a1, log_a1, a2, log_a2 = amplitude_constants(params, cs)
     raw, clamped, t1, t2 = _probability(log_a1, beta1, log_a2, beta2, n, m)
 

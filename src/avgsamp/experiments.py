@@ -86,6 +86,7 @@ class Experiment:
     mode: str
     quad: QuadratureSpec
     stability_estimated: bool
+    stability_certified: bool
     decay_fitted: bool
     sweep_defaults: dict = field(default_factory=dict)
 
@@ -176,13 +177,11 @@ def build_experiment(raw: dict, seed_override: int | None = None) -> Experiment:
     stab = gen.get("stability", {})
     a1_raw, a2_raw = stab.get("alpha1"), stab.get("alpha2")
     stability_estimated = a1_raw is None or a2_raw is None
+    stability_certified = a1_raw is None and a2_raw is None and p == q == 2.0
     if stability_estimated:
-        probe = GeneratorSet(tuple(funcs), c_val, s1, s2, 1.0, 1.0)
-        lo, hi = estimate_stability(probe, p, q, N, int(stab.get("trials", 40)), seed, quad)
-        alpha1 = float(a1_raw) if a1_raw is not None else lo
-        alpha2 = float(a2_raw) if a2_raw is not None else hi
-    else:
-        alpha1, alpha2 = float(a1_raw), float(a2_raw)
+        lo, hi = estimate_stability(funcs, p, q, N, int(stab.get("trials", 40)), seed, quad)
+    alpha1 = lo if a1_raw is None else float(a1_raw)
+    alpha2 = hi if a2_raw is None else float(a2_raw)
     phi = GeneratorSet(tuple(funcs), c_val, s1, s2, alpha1, alpha2)
     phi.check_exponents(p, q)
 
@@ -201,7 +200,8 @@ def build_experiment(raw: dict, seed_override: int | None = None) -> Experiment:
         raw=raw, seed=seed, p=p, q=q, d=d, N=N, cuboid=cuboid, phi=phi,
         kernel=kernel, density=density, signal=signal, sample_sizes=sizes,
         mode=mode, quad=quad, stability_estimated=stability_estimated,
-        decay_fitted=decay_fitted, sweep_defaults=raw.get("sweep", {}),
+        stability_certified=stability_certified, decay_fitted=decay_fitted,
+        sweep_defaults=raw.get("sweep", {}),
     )
 
 
@@ -282,6 +282,8 @@ def emit_surface(func: TensorFunction, grid_spec: dict, path, exp: Experiment | 
 
     grid_spec: {"x": [lo, hi, count], "y": [lo, hi, count]}, counts >= 2.
     """
+    if func.ndim > 2:
+        raise ValueError(f"surface output needs d = 1, got d = {func.ndim - 1}")
     gx = grid_spec["x"]
     gy = grid_spec["y"]
     if int(gx[2]) < 2 or int(gy[2]) < 2:
@@ -375,7 +377,8 @@ def constants_report(exp: Experiment, selector: str, **extra) -> BoundReport:
 
     selector: omega | mu | concentrated | reconstruction.  Keyword
     arguments override the config's sweep defaults; n and m default to the
-    first configured sample size.
+    first configured sample size.  Flags: stability_certified (alpha1 and
+    alpha2 are exact Gram bounds) and decay_fitted.
     """
     params = exp.space_params()
     defaults = dict(exp.sweep_defaults)
@@ -386,19 +389,22 @@ def constants_report(exp: Experiment, selector: str, **extra) -> BoundReport:
     gamma = float(defaults.get("gamma", 0.5))
     if selector == "omega":
         omega = float(defaults.get("omega", exp.kernel.l11_norm))
-        return omega_class_report(params, gamma, omega, n, m)
-    if selector == "mu":
+        rep = omega_class_report(params, gamma, omega, n, m)
+    elif selector == "mu":
         mu = float(defaults.get("mu", 1.0))
         eta = float(defaults.get("eta", 0.5 * mu * params.rho_lower))
-        return mu_class_report(params, mu, eta, n, m)
-    if selector == "concentrated":
+        rep = mu_class_report(params, mu, eta, n, m)
+    elif selector == "concentrated":
         delta = float(defaults.get("delta", 0.1))
         eps = float(defaults.get("eps", 0.05))
-        return concentration_class_report(params, delta, eps, gamma, n, m)
-    if selector == "reconstruction":
+        rep = concentration_class_report(params, delta, eps, gamma, n, m)
+    elif selector == "reconstruction":
         bt = defaults.get("beta_tilde")
         if bt is None:
             bt = beta_tilde(exp.phi, exp.kernel, exp.N, exp.p, exp.q, exp.cuboid,
                             seed=exp.seed, quad=exp.quad).value
-        return reconstruction_report(params, gamma, float(bt), n, m)
-    raise ConfigError(f"unknown selector {selector!r}")
+        rep = reconstruction_report(params, gamma, float(bt), n, m)
+    else:
+        raise ConfigError(f"unknown selector {selector!r}")
+    rep.flags.update(stability_certified=exp.stability_certified, decay_fitted=exp.decay_fitted)
+    return rep

@@ -135,7 +135,9 @@ class TensorFunction:
         return self.evaluate(np.asarray(coords, dtype=float))
 
     def evaluate_grid(self, axes) -> np.ndarray:
-        """Values on the tensor grid spanned by per-axis node arrays."""
+        """Values on the tensor grid spanned by per-axis node arrays, one per axis."""
+        if len(axes) != self._ndim:
+            raise ValueError(f"evaluate_grid needs {self._ndim} axes, got {len(axes)}")
         shape = tuple(len(a) for a in axes)
         out = np.zeros(shape)
         for w, fs in self.terms:
@@ -195,8 +197,8 @@ class GeneratorSet:
     decay_c, decay_s1, decay_s2 describe the envelope
     ``|phi(x, y)| <= decay_c / ((1+|x|)^s1 (1+|y|)^s2)`` and alpha1 <= alpha2
     bracket the norm equivalence between coefficients and synthesized
-    functions.  Stability constants may be supplied (certified) or taken
-    from empirical brackets (see estimate_stability).
+    functions.  Stability constants may be supplied or computed by
+    estimate_stability (exact Gram bounds for p = q = 2).
     """
 
     generators: tuple[TensorFunction, ...]
@@ -532,27 +534,60 @@ def lpq_norm(values: np.ndarray, p: float, q: float) -> float:
     return float(np.sum(inner ** (p / q)) ** (1.0 / p))
 
 
+def _shift_gram(funcs, N: int, region, quad: QuadratureSpec) -> np.ndarray:
+    """Gram matrix of the shifts f_i(. - k), |k| <= N, over the region (None: everywhere).
+
+    Rows and columns run over (i, k) in CoefficientGrid.flatten order.  Each
+    block is a sum over term pairs of Kronecker products of per-axis 1-D
+    Grams, integrated with one rule per axis whose panels contain every
+    shifted breakpoint, so no tensor quadrature grid is formed.
+    """
+    offsets = np.arange(-N, N + 1, dtype=float)
+    box = _as_box(region)
+    rules = []
+    for a in range(funcs[0].ndim):
+        breaks = np.concatenate([(f.axis_breakpoints(a)[:, None] + offsets).ravel() for f in funcs])
+        lo, hi = (breaks.min(), breaks.max()) if box is None else box[a]
+        rules.append(axis_rule(lo, hi, breaks, quad))
+    # per function, per term: (weight, [factor a at node - k for each axis a])
+    terms = [[(w, [g(nodes[:, None] - offsets) for g, (nodes, _) in zip(fs, rules)])
+              for w, fs in f.terms] for f in funcs]
+
+    def block(f_terms, g_terms):
+        return sum(w * v * reduce(np.kron, [x.T @ (wts[:, None] * y)
+                                            for x, y, (_, wts) in zip(fx, gx, rules)])
+                   for w, fx in f_terms for v, gx in g_terms)
+
+    return np.block([[block(f_terms, g_terms) for g_terms in terms] for f_terms in terms])
+
+
 def estimate_stability(
-    phi: GeneratorSet,
+    generators,
     p: float,
     q: float,
     N: int,
     trials: int = 50,
     seed: int = 0,
     quad: QuadratureSpec = DEFAULT_QUAD,
+    region=None,
 ) -> tuple[float, float]:
-    """Empirical stability bracket over random unit-coefficient grids.
+    """Bounds of ||sum_{i, |k| <= N} c_i(k) f_i(. - k)|| / ||c|| over the region (None: all).
 
-    Returns (min, max) of the synthesized global mixed norm: an upper
-    estimate of alpha1 and a lower estimate of alpha2.  These are
-    brackets, not certified constants.
+    For p = q = 2 these are the square roots of the extreme Gram eigenvalues,
+    exact against the Euclidean coefficient norm.  Other exponents return the
+    (min, max) over `trials` seeded random unit-coefficient grids: an upper
+    estimate of the lower constant and a lower estimate of the upper one.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    funcs = generators.generators if isinstance(generators, GeneratorSet) else tuple(generators)
+    if p == 2.0 and q == 2.0:
+        lam = np.linalg.eigvalsh(_shift_gram(funcs, N, region, quad))
+        return float(np.sqrt(max(lam[0], 0.0))), float(np.sqrt(max(lam[-1], 0.0)))
     rng = np.random.default_rng(seed)
     lo, hi = np.inf, 0.0
     for _ in range(trials):
-        c = random_unit_grid(phi.r, N, phi.d, p, q, rng)
-        norm = mixed_norm(synthesize(phi, c), p, q, quad=quad)
+        c = random_unit_grid(len(funcs), N, funcs[0].ndim - 1, p, q, rng)
+        norm = mixed_norm(synthesize(funcs, c), p, q, region, quad)
         lo, hi = min(lo, norm), max(hi, norm)
     return lo, hi

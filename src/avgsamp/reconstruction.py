@@ -24,12 +24,12 @@ from .mixed_space import (
     Cuboid,
     GeneratorSet,
     TensorFunction,
+    estimate_stability,
     lpq_norm,
     mixed_norm,
-    random_unit_grid,
     synthesize,
 )
-from .quadrature import QuadratureSpec, axis_rule
+from .quadrature import QuadratureSpec
 from .sampling import AveragingKernel, Density, SampleSet, abs_integral, convolve, draw_samples
 
 
@@ -108,6 +108,16 @@ def build_sample_matrix(phi: GeneratorSet, kernel: AveragingKernel,
     return SampleMatrix(entries, phi, kernel, samples, N, convolved)
 
 
+def _full_rank_svd(entries: np.ndarray, rank_tol: float):
+    """Thin SVD (U, sv, Vt); RankDeficientError below full column rank at rank_tol."""
+    U, sv, Vt = np.linalg.svd(entries, full_matrices=False)
+    tol = rank_tol * max(np.linalg.norm(entries, axis=0).max(), 1e-300)
+    rank = int(np.sum(sv > tol))
+    if rank < entries.shape[1]:
+        raise RankDeficientError(rank, entries.shape[1])
+    return U, sv, Vt
+
+
 @dataclass
 class LstsqResult:
     """Minimum-norm least-squares solution with rank and residual diagnostics."""
@@ -126,20 +136,14 @@ def solve(S: SampleMatrix, samples_vec, rank_tol: float = 1e-10) -> LstsqResult:
     identity is not guaranteed there).
     """
     b = np.asarray(samples_vec, dtype=float).ravel()
-    rows, cols = S.entries.shape
+    rows = S.entries.shape[0]
     if b.shape[0] != rows:
         raise ValueError(f"sample vector length {b.shape[0]} != row count {rows}")
-    U, sv, Vt = np.linalg.svd(S.entries, full_matrices=False)
-    col_norms = np.linalg.norm(S.entries, axis=0)
-    tol = rank_tol * max(col_norms.max(), 1e-300)
-    rank = int(np.sum(sv > tol))
-    if rank < cols:
-        raise RankDeficientError(rank, cols)
+    U, sv, Vt = _full_rank_svd(S.entries, rank_tol)
     x = Vt.T @ ((U.T @ b) / sv)
     residual = float(np.linalg.norm(S.entries @ x - b))
-    d = S.phi.d
-    grid = CoefficientGrid.from_flat(x, S.phi.r, S.N, d)
-    return LstsqResult(grid, residual, rank, sv)
+    grid = CoefficientGrid.from_flat(x, S.phi.r, S.N, S.phi.d)
+    return LstsqResult(grid, residual, len(sv), sv)
 
 
 @dataclass
@@ -174,12 +178,7 @@ class DualFamily:
 
 def dual_family(S: SampleMatrix, rank_tol: float = 1e-10) -> DualFamily:
     """Pseudo-inverse dual family; requires numerically full column rank."""
-    U, sv, Vt = np.linalg.svd(S.entries, full_matrices=False)
-    col_norms = np.linalg.norm(S.entries, axis=0)
-    tol = rank_tol * max(col_norms.max(), 1e-300)
-    rank = int(np.sum(sv > tol))
-    if rank < S.entries.shape[1]:
-        raise RankDeficientError(rank, S.entries.shape[1])
+    U, sv, Vt = _full_rank_svd(S.entries, rank_tol)
     pinv = Vt.T @ np.diag(1.0 / sv) @ U.T
     return DualFamily(pinv, S.phi, S.N, S.samples.n, S.samples.m)
 
@@ -204,49 +203,16 @@ def beta_tilde(phi: GeneratorSet, kernel: AveragingKernel, N: int, p: float, q: 
                quad: QuadratureSpec = DEFAULT_QUAD) -> BetaTildeEstimate:
     """Smallest ratio ||sum c (phi*psi)(.-k)||_{L^{p,q}(region)} / ||c||_{l^{p,q}}.
 
-    For p = q = 2 this is the square root of the smallest eigenvalue of
-    the Gram matrix of the shifted convolved generators on the region,
-    computed with breakpoint-aligned quadrature.  Other exponents are
-    handled by random search over unit coefficient grids, which can only
-    overestimate the true constant.
+    The lower stability constant of the convolved generators on the region
+    (see estimate_stability): for p = q = 2 the square root of the smallest
+    Gram eigenvalue, otherwise a random-search upper estimate of the true
+    constant.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     convolved = [convolve(g, kernel) for g in phi.generators]
-    d = phi.d
-    if p == 2.0 and q == 2.0:
-        offsets = np.arange(-N, N + 1, dtype=float)
-        rules = []
-        for a, (lo, hi) in enumerate(region.box):
-            breaks = np.concatenate([
-                (conv.axis_breakpoints(a)[:, None] + offsets[None, :]).ravel()
-                for conv in convolved
-            ])
-            rules.append(axis_rule(lo, hi, breaks, quad))
-        if any(len(rname[0]) == 0 for rname in rules):
-            return BetaTildeEstimate(0.0, True, "gram_eigenvalue")
-        nodes = [rl[0] for rl in rules]
-        mesh = np.meshgrid(*nodes, indexing="ij")
-        pts = np.stack([g.ravel() for g in mesh], axis=1)
-        w = rules[0][1]
-        for _, wa in rules[1:]:
-            w = np.multiply.outer(w, wa)
-        w = w.ravel()
-        cols = []
-        for conv in convolved:
-            cols.append(_shifted_values(conv, pts, N))
-        B = np.concatenate(cols, axis=1)
-        G = B.T @ (w[:, None] * B)
-        lam = float(np.linalg.eigvalsh(G)[0])
-        return BetaTildeEstimate(math.sqrt(max(lam, 0.0)), True, "gram_eigenvalue")
-
-    rng = np.random.default_rng(seed)
-    best = math.inf
-    for _ in range(trials):
-        c = random_unit_grid(phi.r, N, d, p, q, rng)
-        norm = mixed_norm(synthesize(convolved, c), p, q, region, quad)
-        best = min(best, norm)
-    return BetaTildeEstimate(best, False, "random_search_upper_estimate")
+    value = estimate_stability(convolved, p, q, N, trials, seed, quad, region)[0]
+    certified = p == 2.0 and q == 2.0
+    return BetaTildeEstimate(value, certified,
+                             "gram_eigenvalue" if certified else "random_search_upper_estimate")
 
 
 @dataclass

@@ -45,7 +45,23 @@ def series_oracle_1d(exponent, terms=2_000_000):
     return partial, tail
 
 
+def shell_loop(exponent, dim, tol=1e-10):
+    """The shell-by-shell Python loop that the block sum replaced: (sum, shells)."""
+    total, s = 1.0, 1
+    while True:
+        total += ((2 * s + 1) ** dim - (2 * s - 1) ** dim) * (1.0 + s) ** (-exponent)
+        if 2 * dim * 3 ** (dim - 1) * (1.0 + s) ** (dim - exponent) / (exponent - dim) < tol:
+            return total, s
+        s += 1
+
+
 class TestSeries:
+    @pytest.mark.parametrize("e, dim", [(3.0, 1), (4.0, 2), (7.0, 3)])
+    def test_block_sum_matches_shell_loop(self, e, dim):
+        ref, shells = shell_loop(e, dim)
+        # recursive summation of that many terms errs by at most shells * eps * sum
+        assert abs(lattice_decay_sum(e, dim) - ref) <= shells * np.finfo(float).eps * ref
+
     def test_one_dimensional_sum_matches_zeta(self):
         # sum over Z of (1+|k|)^-4 = 2 zeta(4) - 1
         val = lattice_decay_sum(4.0, 1)
@@ -65,6 +81,12 @@ class TestSeries:
         K1, K2 = np.meshgrid(ks, ks, indexing="ij")
         brute = np.sum((1.0 + np.maximum(np.abs(K1), np.abs(K2))) ** (-e))
         assert val == pytest.approx(brute, abs=1e-6)
+
+    @pytest.mark.parametrize("e, dim", [(3.0, 1), (4.0, 1), (4.0, 2), (6.0, 2)])
+    def test_matches_zeta_closed_forms(self, e, dim):
+        # over Z^2 the shell |k| = s holds 8 s points
+        want = 2.0 * zeta(e) - 1.0 if dim == 1 else 1.0 + 8.0 * (zeta(e - 1.0) - zeta(e))
+        assert lattice_decay_sum(e, dim) == pytest.approx(want, rel=1e-10, abs=0.0)
 
     def test_divergent_exponent_rejected(self):
         with pytest.raises(ValueError):

@@ -14,9 +14,36 @@ from avgsamp.experiments import (
     config_hash,
     constants_report,
     emit_surface,
+    load_config,
     probability_sweep,
     run_table,
 )
+from avgsamp.mixed_space import tensor_bspline
+
+
+def d2_config():
+    """minimal_config lifted to d = 2."""
+    cfg = minimal_config()
+    cfg["space"]["d"] = 2
+    cfg["generators"]["bsplines"] = [{"degree": 1, "shift": [0.0, 0.0, 0.0]}]
+    cfg["signal"] = [{"generator": 0, "k": [0, 0, 0], "weight": 1.0}]
+    cfg["kernel"]["box"] = [[0.5, 1.5]] * 3
+    return cfg
+
+
+def bspline_gram_eigenvalues(degree: int, N: int) -> np.ndarray:
+    """Eigenvalues of G[k, l] = integral of B_n(x - k) B_n(x - l) over R, |k|, |l| <= N.
+
+    The integral equals B_{2n+1}(k - l), evaluated with scipy.
+    """
+    from scipy.interpolate import BSpline
+
+    order = 2 * degree + 1
+    knots = np.arange(order + 2) - (order + 1) / 2.0
+    b = BSpline.basis_element(knots, extrapolate=False)
+    k = np.arange(-N, N + 1)
+    G = np.nan_to_num(b((k[:, None] - k[None, :]).astype(float)))
+    return np.linalg.eigvalsh(G)
 
 
 def minimal_config(**over):
@@ -68,6 +95,29 @@ class TestConfig:
         exp = build_experiment(cfg)
         assert not exp.stability_estimated and not exp.decay_fitted
         assert exp.phi.decay_c == 1.0
+
+    @pytest.mark.parametrize("name, degree", [("quadratic_bspline.json", 2),
+                                              ("linear_bspline.json", 1)])
+    def test_shipped_configs_get_exact_riesz_bounds(self, config_dir, name, degree):
+        exp = load_config(config_dir / name)
+        ev = bspline_gram_eigenvalues(degree, exp.N)
+        # the (d+1)-fold Kronecker power of the 1-D Gram
+        power = (exp.d + 1) / 2.0
+        assert exp.phi.alpha1 == pytest.approx(ev[0] ** power, rel=1e-9)
+        assert exp.phi.alpha2 == pytest.approx(ev[-1] ** power, rel=1e-9)
+        assert exp.stability_certified
+
+    def test_other_exponents_are_not_certified(self):
+        cfg = minimal_config()
+        cfg["space"]["p"] = 3.0
+        exp = build_experiment(cfg)
+        assert exp.stability_estimated and not exp.stability_certified
+
+    def test_supplied_alpha_is_not_certified(self):
+        cfg = minimal_config()
+        cfg["generators"]["stability"]["alpha1"] = 0.1
+        exp = build_experiment(cfg)
+        assert exp.phi.alpha1 == 0.1 and not exp.stability_certified
 
     def test_seed_override(self):
         exp = build_experiment(minimal_config(), seed_override=99)
@@ -155,6 +205,12 @@ class TestSurface:
             if x == 0.0 and y == 1.0:
                 target = v
         assert target == pytest.approx(1.609375, abs=1e-12)
+
+    def test_higher_dimension_refused(self, tmp_path):
+        path = tmp_path / "d2.csv"
+        with pytest.raises(ValueError, match="d = 2"):
+            emit_surface(tensor_bspline([2, 2, 2]), {"x": [-1, 1, 3], "y": [-1, 1, 3]}, path)
+        assert not path.exists()
 
     def test_resolution_validated(self, tmp_path):
         from avgsamp.mixed_space import TensorFunction
@@ -244,6 +300,20 @@ class TestConstantsReport:
         assert rep["beta_tilde"] > 0
         assert 0.0 <= rep["probability"] <= 1.0
 
+    @pytest.mark.parametrize("selector", ["omega", "mu", "concentrated", "reconstruction"])
+    def test_provenance_flags(self, quadratic_benchmark, selector):
+        rep = constants_report(quadratic_benchmark, selector)
+        assert rep.flags["stability_certified"] is True
+        assert rep.flags["decay_fitted"] is True
+
+    def test_provenance_flags_for_supplied_constants(self):
+        cfg = minimal_config()
+        cfg["generators"]["decay"]["c"] = 1.0
+        cfg["generators"]["stability"] = {"alpha1": 1.0, "alpha2": 1.0}
+        rep = constants_report(build_experiment(cfg), "omega")
+        assert rep.flags["stability_certified"] is False
+        assert rep.flags["decay_fitted"] is False
+
     def test_unknown_selector(self, quadratic_benchmark):
         with pytest.raises(ConfigError):
             constants_report(quadratic_benchmark, "thm")
@@ -298,6 +368,8 @@ class TestCli:
         doc = json.loads(out.read_text())
         assert "c_star" in doc["constants"]
         assert doc["seed"] == 7
+        assert doc["flags"]["stability_certified"] is True
+        assert doc["flags"]["decay_fitted"] is True
 
     def test_surface_files(self, tmp_path):
         cfg = self._write_config(tmp_path)
@@ -306,6 +378,15 @@ class TestCli:
                      "--grid", "11x11"]) == 0
         assert (tmp_path / "surf.f.csv").exists()
         assert (tmp_path / "surf.recon.csv").exists()
+
+    def test_surface_refuses_higher_dimension(self, tmp_path, capsys):
+        cfg = tmp_path / "d2.json"
+        cfg.write_text(json.dumps(d2_config()))
+        stem = tmp_path / "surf"
+        assert main(["surface", "--config", str(cfg), "--out", str(stem), "--which", "f"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "d = 2" in err
+        assert not (tmp_path / "surf.f.csv").exists()
 
     def test_config_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.json"

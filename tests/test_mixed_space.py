@@ -123,6 +123,24 @@ class TestSynthesize:
                                    atol=1e-12)
 
 
+class TestEvaluateGrid:
+    def test_matches_pointwise_values(self):
+        f = tensor_bspline([2, 1, 2], [0.0, 0.5, -0.25], 2.0)
+        axes = [np.linspace(-1.5, 1.5, 4), np.linspace(-0.5, 1.5, 3), np.linspace(-1, 1, 5)]
+        mesh = np.meshgrid(*axes, indexing="ij")
+        pts = np.stack([g.ravel() for g in mesh], axis=1)
+        np.testing.assert_allclose(f.evaluate_grid(axes).ravel(), f.evaluate(pts), atol=1e-15)
+
+    def test_wrong_axis_count_rejected(self):
+        # two axes for a function of three variables used to drop the last factor
+        f = tensor_bspline([2, 2, 2])
+        xs = np.linspace(-1.0, 1.0, 5)
+        with pytest.raises(ValueError, match="3 axes, got 2"):
+            f.evaluate_grid([xs, xs])
+        with pytest.raises(ValueError, match="3 axes, got 4"):
+            f.evaluate_grid([xs] * 4)
+
+
 class TestMixedNorm:
     def test_unit_square_indicator(self):
         ind = box_function([(0, 1), (0, 1)])
