@@ -69,7 +69,15 @@ def config_hash(raw: dict) -> str:
 
 @dataclass
 class Experiment:
-    """A fully resolved experiment: spaces, generators, kernel, density, signal."""
+    """A fully resolved experiment: spaces, generators, kernel, density, signal.
+
+    stability_certified: alpha1 and alpha2 are exact Gram bounds, which needs
+    p = q = 2, neither constant supplied, and a single generator.  The Gram
+    bounds hold against the Euclidean coefficient norm, which for r > 1 is
+    not the l^{2,2} norm of the bounds (CoefficientGrid.seq_mixed_norm sums
+    the per-generator block norms, up to sqrt(r) larger), so alpha1 can
+    exceed the true constant there.
+    """
 
     raw: dict
     seed: int
@@ -177,7 +185,7 @@ def build_experiment(raw: dict, seed_override: int | None = None) -> Experiment:
     stab = gen.get("stability", {})
     a1_raw, a2_raw = stab.get("alpha1"), stab.get("alpha2")
     stability_estimated = a1_raw is None or a2_raw is None
-    stability_certified = a1_raw is None and a2_raw is None and p == q == 2.0
+    stability_certified = a1_raw is None and a2_raw is None and p == q == 2.0 and len(funcs) == 1
     if stability_estimated:
         lo, hi = estimate_stability(funcs, p, q, N, int(stab.get("trials", 40)), seed, quad)
     alpha1 = lo if a1_raw is None else float(a1_raw)
@@ -320,7 +328,8 @@ def probability_sweep(exp: Experiment, nm_list, trials: int,
     One record per (n, m): the Monte Carlo fraction with its Wilson 95%
     interval next to the raw and clamped theoretical probabilities.  At
     desk scale the clamped bounds are typically zero (vacuous); they are
-    reported rather than hidden.
+    reported rather than hidden.  The flags stability_certified and
+    decay_fitted say what the theoretical probability rests on.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -363,6 +372,7 @@ def probability_sweep(exp: Experiment, nm_list, trials: int,
             "wilson_low": summary.wilson_low, "wilson_high": summary.wilson_high,
             "probability_raw": _num(rep["probability_raw"]),
             "probability": rep["probability"],
+            "stability_certified": exp.stability_certified, "decay_fitted": exp.decay_fitted,
             "config_sha256": exp.hash, "seed": exp.seed,
         })
     return records
@@ -378,7 +388,7 @@ def constants_report(exp: Experiment, selector: str, **extra) -> BoundReport:
     selector: omega | mu | concentrated | reconstruction.  Keyword
     arguments override the config's sweep defaults; n and m default to the
     first configured sample size.  Flags: stability_certified (alpha1 and
-    alpha2 are exact Gram bounds) and decay_fitted.
+    alpha2 are exact Gram bounds, see Experiment) and decay_fitted.
     """
     params = exp.space_params()
     defaults = dict(exp.sweep_defaults)

@@ -36,6 +36,7 @@ def _shift_poly(coeffs: np.ndarray, delta: float) -> np.ndarray:
 
 
 def _poly_eval(coeffs: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Horner evaluation; coeffs[j] is the degree-j coefficient, scalar or one per point."""
     out = np.zeros_like(u)
     for c in coeffs[::-1]:
         out = out * u + c
@@ -129,12 +130,11 @@ class PiecewisePoly1D:
         if self.tail != 0.0:
             out[xs >= self.breakpoints[-1]] = self.tail
         if self.num_pieces:
+            # one Horner pass over each point's own piece coefficients
             idx = np.searchsorted(self.breakpoints, xs, side="right") - 1
-            for i in range(self.num_pieces):
-                mask = idx == i
-                if mask.any():
-                    u = xs[mask] - self.breakpoints[i]
-                    out[mask] = _poly_eval(self.coeffs[i], u)
+            inside = (idx >= 0) & (idx < self.num_pieces)
+            piece = idx[inside]
+            out[inside] = _poly_eval(self.coeffs[piece].T, xs[inside] - self.breakpoints[piece])
         return float(out[0]) if scalar else out
 
     @property

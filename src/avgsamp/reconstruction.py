@@ -99,23 +99,38 @@ def _shifted_values(f: TensorFunction, points: np.ndarray, N: int) -> np.ndarray
     return block.sum(axis=2)
 
 
+def _sample_entries(convolved, points: np.ndarray, N: int) -> np.ndarray:
+    """Sampling-matrix entries from already convolved generators, one column block each."""
+    return np.concatenate([_shifted_values(conv, points, N) for conv in convolved], axis=1)
+
+
 def build_sample_matrix(phi: GeneratorSet, kernel: AveragingKernel,
                         samples: SampleSet, N: int) -> SampleMatrix:
     """Assemble the sampling matrix from the closed-form convolved generators."""
     convolved = tuple(convolve(g, kernel) for g in phi.generators)
-    blocks = [_shifted_values(conv, samples.points, N) for conv in convolved]
-    entries = np.concatenate(blocks, axis=1)
+    entries = _sample_entries(convolved, samples.points, N)
     return SampleMatrix(entries, phi, kernel, samples, N, convolved)
 
 
 def _full_rank_svd(entries: np.ndarray, rank_tol: float):
-    """Thin SVD (U, sv, Vt); RankDeficientError below full column rank at rank_tol."""
+    """Thin SVD (U, sv, Vt) and numerical rank of one matrix or a stack of them.
+
+    The rank counts singular values above rank_tol times the matrix's
+    largest column norm.  A single matrix below full column rank raises
+    RankDeficientError; for a stack the caller reads each matrix's rank.
+    """
     U, sv, Vt = np.linalg.svd(entries, full_matrices=False)
-    tol = rank_tol * max(np.linalg.norm(entries, axis=0).max(), 1e-300)
-    rank = int(np.sum(sv > tol))
-    if rank < entries.shape[1]:
-        raise RankDeficientError(rank, entries.shape[1])
-    return U, sv, Vt
+    tol = rank_tol * np.maximum(np.linalg.norm(entries, axis=-2).max(axis=-1), 1e-300)
+    rank = np.sum(sv > tol[..., None], axis=-1)
+    if entries.ndim == 2 and rank < entries.shape[1]:
+        raise RankDeficientError(int(rank), entries.shape[1])
+    return U, sv, Vt, rank
+
+
+def _min_norm_solution(U: np.ndarray, sv: np.ndarray, Vt: np.ndarray,
+                       b: np.ndarray) -> np.ndarray:
+    """Minimum-norm least-squares solution from a full-rank thin SVD."""
+    return Vt.T @ ((U.T @ b) / sv)
 
 
 @dataclass
@@ -139,8 +154,8 @@ def solve(S: SampleMatrix, samples_vec, rank_tol: float = 1e-10) -> LstsqResult:
     rows = S.entries.shape[0]
     if b.shape[0] != rows:
         raise ValueError(f"sample vector length {b.shape[0]} != row count {rows}")
-    U, sv, Vt = _full_rank_svd(S.entries, rank_tol)
-    x = Vt.T @ ((U.T @ b) / sv)
+    U, sv, Vt, _ = _full_rank_svd(S.entries, rank_tol)
+    x = _min_norm_solution(U, sv, Vt, b)
     residual = float(np.linalg.norm(S.entries @ x - b))
     grid = CoefficientGrid.from_flat(x, S.phi.r, S.N, S.phi.d)
     return LstsqResult(grid, residual, len(sv), sv)
@@ -178,7 +193,7 @@ class DualFamily:
 
 def dual_family(S: SampleMatrix, rank_tol: float = 1e-10) -> DualFamily:
     """Pseudo-inverse dual family; requires numerically full column rank."""
-    U, sv, Vt = _full_rank_svd(S.entries, rank_tol)
+    U, sv, Vt, _ = _full_rank_svd(S.entries, rank_tol)
     pinv = Vt.T @ np.diag(1.0 / sv) @ U.T
     return DualFamily(pinv, S.phi, S.N, S.samples.n, S.samples.m)
 
@@ -188,8 +203,13 @@ class BetaTildeEstimate:
     """Lower-bound constant of the convolved synthesis system on the cuboid.
 
     certified means the value came from the smallest Gram eigenvalue
-    (p = q = 2, exact up to quadrature); otherwise it is a random-search
-    upper estimate of the true constant and must not be used in certified
+    (p = q = 2, exact up to quadrature) of a single generator.  The Gram
+    bound holds against the Euclidean coefficient norm, which for r = 1 is
+    the l^{2,2} norm of the bounds; for r > 1 the l^{2,2} norm of
+    CoefficientGrid.seq_mixed_norm sums the per-generator block norms, up to
+    sqrt(r) times larger, so the eigenvalue value can overestimate the true
+    constant.  Uncertified values (that case, and the random search for
+    other exponents) are upper estimates and must not be used in certified
     bounds.
     """
 
@@ -210,9 +230,11 @@ def beta_tilde(phi: GeneratorSet, kernel: AveragingKernel, N: int, p: float, q: 
     """
     convolved = [convolve(g, kernel) for g in phi.generators]
     value = estimate_stability(convolved, p, q, N, trials, seed, quad, region)[0]
-    certified = p == 2.0 and q == 2.0
-    return BetaTildeEstimate(value, certified,
-                             "gram_eigenvalue" if certified else "random_search_upper_estimate")
+    gram = p == 2.0 and q == 2.0
+    if gram and phi.r == 1:
+        return BetaTildeEstimate(value, True, "gram_eigenvalue")
+    return BetaTildeEstimate(value, False, "gram_eigenvalue_euclidean_upper_estimate" if gram
+                             else "random_search_upper_estimate")
 
 
 @dataclass
@@ -263,6 +285,10 @@ def membership(phi: GeneratorSet, kernel: AveragingKernel, c: CoefficientGrid,
 
 # -- Monte Carlo success estimation ----------------------------------------
 
+#: Byte budget for the sample points and stacked sample matrices of one
+#: batch of Monte Carlo trials.
+TRIAL_BATCH_BYTES = 64 * 1024
+
 
 @dataclass
 class TrialSpec:
@@ -297,23 +323,30 @@ class TrialSpec:
 
 @dataclass
 class TrialRecord:
+    """Outcome of one trial; recovery trials also carry the sample matrix's
+    smallest singular value and condition number (None for inequality trials)."""
+
     trial: int
     seed: int
     success: bool
     rank: int
     rank_deficient: bool
     error: float
+    sigma_min: float | None = None
+    condition_number: float | None = None
 
     def to_json(self) -> str:
         return json.dumps({
             "trial": self.trial, "seed": self.seed, "success": self.success,
             "rank": self.rank, "rank_deficient": self.rank_deficient,
             "error": _finite_or_repr(self.error),
+            "sigma_min": _finite_or_repr(self.sigma_min),
+            "condition_number": _finite_or_repr(self.condition_number),
         }, sort_keys=True)
 
 
-def _finite_or_repr(v: float):
-    return v if math.isfinite(v) else repr(v)
+def _finite_or_repr(v: float | None):
+    return v if v is None or math.isfinite(v) else repr(v)
 
 
 @dataclass
@@ -338,13 +371,23 @@ def wilson_interval(successes: int, trials: int, z: float = 1.959963984540054) -
     return max(0.0, min(center - half, phat)), min(1.0, max(center + half, phat))
 
 
+def _batch_size(spec: TrialSpec) -> int:
+    """Trials per batch: the batch's sample points and its stacked sample
+    matrices (sample values for the inequality kinds) fit TRIAL_BATCH_BYTES."""
+    width = spec.phi.ndim + (spec.coeffs.size if spec.kind == "recovery" else 1)
+    return max(1, TRIAL_BATCH_BYTES // (8 * spec.n * spec.m * width))
+
+
 def empirical_success(spec: TrialSpec, trials: int, seed: int,
                       jsonl_path=None) -> SuccessSummary:
     """Repeat the trial, report the success fraction with its Wilson interval.
 
     Rank-deficient draws count as failures and are recorded as such, so
     the empirical probabilities stay honest.  Per-trial seeds derive from
-    the master seed; identical inputs reproduce identical records.
+    the master seed; identical inputs reproduce identical records.  Each
+    trial draws its own samples; the draws of a batch of trials are then
+    evaluated together and their sample matrices decomposed by one stacked
+    SVD, so memory stays bounded by TRIAL_BATCH_BYTES whatever `trials` is.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -365,37 +408,50 @@ def empirical_success(spec: TrialSpec, trials: int, seed: int,
     elif spec.kind != "recovery":
         raise ValueError(f"unknown trial kind {spec.kind!r}")
 
+    recovery = spec.kind == "recovery"
+    rows, cols = spec.n * spec.m, spec.coeffs.size
+    if recovery:
+        convolved = tuple(convolve(g, spec.kernel) for g in spec.phi.generators)
+        target = spec.coeffs.flatten()
+    batch = _batch_size(spec)
     trial_seeds = np.random.SeedSequence(seed).generate_state(trials, dtype=np.uint64)
     records: list[TrialRecord] = []
-    successes = 0
-    for t in range(trials):
-        tseed = int(trial_seeds[t])
-        samples = draw_samples(spec.rho, spec.n, spec.m, tseed, spec.mode)
-        if spec.kind == "recovery":
-            S = build_sample_matrix(spec.phi, spec.kernel, samples, spec.N)
-            values = conv.evaluate(samples.points)
-            try:
-                res = solve(S, values, spec.rank_tol)
-                err = float(np.max(np.abs(res.grid.values - spec.coeffs.values)))
-                rec = TrialRecord(t, tseed, err <= spec.recovery_tol, res.rank, False, err)
-            except RankDeficientError as exc:
-                rec = TrialRecord(t, tseed, False, exc.rank, True, math.inf)
-        else:
-            values = conv.evaluate(samples.points).reshape(spec.n, spec.m)
-            if spec.kind == "omega_inequality":
-                stat = lpq_norm(values, spec.p, spec.q)
-            else:
-                stat = float(np.sum(np.abs(values)))
-            ok = lower * fnorm <= stat <= upper * fnorm
-            rec = TrialRecord(t, tseed, bool(ok), min(spec.n * spec.m, spec.coeffs.size),
-                              False, 0.0)
-        successes += rec.success
-        records.append(rec)
+    for start in range(0, trials, batch):
+        seeds = [int(s) for s in trial_seeds[start:start + batch]]
+        points = np.concatenate([draw_samples(spec.rho, spec.n, spec.m, s, spec.mode).points
+                                 for s in seeds])
+        values = conv.evaluate(points).reshape(len(seeds), rows)
+        if recovery:
+            stack = _sample_entries(convolved, points, spec.N).reshape(len(seeds), rows, cols)
+            U, sv, Vt, ranks = _full_rank_svd(stack, spec.rank_tol)
+        for b, tseed in enumerate(seeds):
+            t = start + b
+            if not recovery:
+                vals = values[b].reshape(spec.n, spec.m)
+                if spec.kind == "omega_inequality":
+                    stat = lpq_norm(vals, spec.p, spec.q)
+                else:
+                    stat = float(np.sum(np.abs(vals)))
+                ok = lower * fnorm <= stat <= upper * fnorm
+                records.append(TrialRecord(t, tseed, bool(ok), min(rows, cols), False, 0.0))
+                continue
+            # the cols-th singular value; zero when there are fewer rows than columns
+            smin = float(sv[b, -1]) if rows >= cols else 0.0
+            cond = float(sv[b, 0]) / smin if smin > 0.0 else math.inf
+            rank = int(ranks[b])
+            if rank < cols:
+                records.append(TrialRecord(t, tseed, False, rank, True, math.inf, smin, cond))
+                continue
+            x = _min_norm_solution(U[b], sv[b], Vt[b], values[b])
+            err = float(np.max(np.abs(x - target)))
+            records.append(TrialRecord(t, tseed, err <= spec.recovery_tol, cols, False, err,
+                                       smin, cond))
 
     if jsonl_path is not None:
         with open(jsonl_path, "w", encoding="utf-8") as fh:
             for rec in records:
                 fh.write(rec.to_json() + "\n")
 
+    successes = sum(rec.success for rec in records)
     lo, hi = wilson_interval(successes, trials)
     return SuccessSummary(trials, successes, successes / trials, lo, hi, records)

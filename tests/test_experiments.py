@@ -18,7 +18,14 @@ from avgsamp.experiments import (
     probability_sweep,
     run_table,
 )
-from avgsamp.mixed_space import tensor_bspline
+from avgsamp.mixed_space import (
+    CoefficientGrid,
+    _shift_gram,
+    mixed_norm,
+    synthesize,
+    tensor_bspline,
+)
+from avgsamp.reconstruction import beta_tilde
 
 
 def d2_config():
@@ -118,6 +125,23 @@ class TestConfig:
         cfg["generators"]["stability"]["alpha1"] = 0.1
         exp = build_experiment(cfg)
         assert exp.phi.alpha1 == 0.1 and not exp.stability_certified
+
+    def test_two_generators_are_not_certified(self):
+        # the Gram bounds hold against the Euclidean coefficient norm; the
+        # l^{2,2} norm of the bounds sums the per-generator block norms
+        cfg = minimal_config()
+        cfg["generators"]["bsplines"] = [{"degree": 1, "shift": [0.0, 0.0]},
+                                         {"degree": 2, "shift": [0.5, 0.0]}]
+        exp = build_experiment(cfg)
+        _, vec = np.linalg.eigh(_shift_gram(exp.phi.generators, exp.N, None, exp.quad))
+        c = CoefficientGrid.from_flat(vec[:, 0], exp.phi.r, exp.N, exp.d)
+        ratio = mixed_norm(synthesize(exp.phi, c), 2.0, 2.0) / c.seq_mixed_norm(2.0, 2.0)
+        assert exp.phi.alpha1 == pytest.approx(0.06167, abs=1e-5)
+        assert ratio == pytest.approx(0.04366, abs=1e-5)
+        assert not exp.stability_certified
+        assert constants_report(exp, "omega").flags["stability_certified"] is False
+        bt = beta_tilde(exp.phi, exp.kernel, exp.N, 2.0, 2.0, exp.cuboid)
+        assert not bt.certified and bt.method == "gram_eigenvalue_euclidean_upper_estimate"
 
     def test_seed_override(self):
         exp = build_experiment(minimal_config(), seed_override=99)
@@ -252,6 +276,15 @@ class TestSurface:
 
 
 class TestProbabilitySweep:
+    def test_records_carry_provenance_flags(self, quadratic_benchmark):
+        cfg = minimal_config()
+        cfg["generators"]["decay"]["c"] = 1.0
+        supplied = build_experiment(cfg)
+        for exp, flags in ((quadratic_benchmark, (True, True)), (supplied, (True, False))):
+            for theorem in ("recovery", "omega", "mu"):
+                rec = probability_sweep(exp, [(4, 4)], trials=2, theorem=theorem)[0]
+                assert (rec["stability_certified"], rec["decay_fitted"]) == flags
+
     def test_records_and_ranges(self, quadratic_benchmark):
         records = probability_sweep(quadratic_benchmark, [(5, 5), (8, 8)], trials=10)
         assert len(records) == 2

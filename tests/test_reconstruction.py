@@ -306,7 +306,9 @@ class TestEmpiricalSuccess:
         import json
 
         rec = json.loads(lines[0])
-        assert set(rec) == {"trial", "seed", "success", "rank", "rank_deficient", "error"}
+        assert set(rec) == {"trial", "seed", "success", "rank", "rank_deficient", "error",
+                            "sigma_min", "condition_number"}
+        assert 0.0 < rec["sigma_min"] <= rec["sigma_min"] * rec["condition_number"]
 
     def test_determinism(self, quadratic_setup):
         ck, rho, kernel, phi, coeffs = quadratic_setup
