@@ -31,7 +31,6 @@ from .sampling import (
     average_samples,
     convolve,
     draw_samples,
-    y_statistic,
 )
 from .bounds import (
     BoundReport,
@@ -46,7 +45,6 @@ from .bounds import (
     lattice_decay_sum,
     mu_class_report,
     omega_class_report,
-    reconstruction_probability,
     reconstruction_report,
     uniform_tail_bound,
 )

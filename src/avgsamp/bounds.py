@@ -423,16 +423,6 @@ def concentration_class_report(params: SpaceParams, delta: float, eps: float, ga
     )
 
 
-def reconstruction_probability(params: SpaceParams, gamma: float, beta_tilde: float,
-                               n: int, m: int) -> float:
-    """Raw success probability of exact reconstruction on the finite subspace.
-
-    Uses the conv-system lower bound beta_tilde in place of the omega
-    margin; the returned value may be negative (vacuous bound).
-    """
-    return reconstruction_report(params, gamma, beta_tilde, n, m)["probability_raw"]
-
-
 def reconstruction_report(params: SpaceParams, gamma: float, beta_tilde: float,
                           n: int, m: int) -> BoundReport:
     if not 0.0 < gamma < 1.0:

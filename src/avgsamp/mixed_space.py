@@ -242,43 +242,27 @@ class GeneratorSet:
 
 
 def decay_constant(f: TensorFunction, s1: float, s2: float, points_per_piece: int = 200) -> float:
-    """Tight envelope constant sup |f(x,y)| (1+|x|)^s1 (1+|y|)^s2.
+    """Envelope constant C with |f(x,y)| (1+|x|)^s1 (1+|y|)^s2 <= C.
 
-    Uses the max norm for |y| when d > 1.  Separable single-term functions
-    reduce to a product of per-axis 1-D maximizations, which is what the
-    B-spline generators need; general sums fall back to a dense grid.
+    Uses the max norm for |y| when d > 1.  Each term contributes |w| times
+    the product of its per-axis 1-D maxima of |g(t)| (1+|t|)^s.  For one
+    term with d = 1 that is the tight value, which is what the B-spline
+    generators need; for several terms the sum is an envelope by the
+    triangle inequality.
     """
-    if f.is_zero:
-        return 0.0
-
     def axis_max(g: PiecewisePoly1D, s: float) -> float:
         lo, hi = g.support
         xs = [np.linspace(lo, hi, points_per_piece * max(g.num_pieces, 1)), g.critical_points(), g.breakpoints]
         xs = np.concatenate(xs)
         return float(np.max(np.abs(g(xs)) * (1.0 + np.abs(xs)) ** s))
 
-    if len(f.terms) == 1:
-        w, fs = f.terms[0]
+    def term_max(w: float, fs) -> float:
         out = abs(w)
         for a, g in enumerate(fs):
             out *= axis_max(g, s1 if a == 0 else s2)
         return out
 
-    axes = []
-    for a in range(f.ndim):
-        lo, hi = f.support_box()[a]
-        breaks = f.axis_breakpoints(a)
-        pts = [np.linspace(lo, hi, points_per_piece * max(len(breaks), 2))]
-        for _, fs in f.terms:
-            pts.append(fs[a].critical_points())
-        axes.append(np.unique(np.concatenate(pts)))
-    vals = np.abs(f.evaluate_grid(axes))
-    weight = (1.0 + np.abs(axes[0])) ** s1
-    for a in range(1, f.ndim):
-        shape = [1] * f.ndim
-        shape[a] = -1
-        weight = weight[..., None] * ((1.0 + np.abs(axes[a])) ** s2).reshape(shape[a:])
-    return float(np.max(vals * weight))
+    return float(sum(term_max(w, fs) for w, fs in f.terms))
 
 
 class CoefficientGrid:

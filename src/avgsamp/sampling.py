@@ -14,12 +14,13 @@ sign-exact inner integration.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mixed_space import Cuboid, TensorFunction, DEFAULT_QUAD
-from .piecewise import PiecewisePoly1D
+from .mixed_space import Cuboid, TensorFunction, DEFAULT_QUAD, _clip_box
+from .piecewise import PiecewisePoly1D, _poly_eval
 from .quadrature import QuadratureSpec, axis_rule, panel_edges
 
 
@@ -269,20 +270,37 @@ def average_samples(conv: TensorFunction, samples: SampleSet) -> np.ndarray:
 # -- absolute integrals and the centered statistic -------------------------
 
 
-def _abs_poly_integral(coeffs: np.ndarray, h: float) -> float:
-    """Exact integral of |p(u)| over [0, h] via sign splitting at real roots."""
-    c = np.trim_zeros(coeffs, "b")
-    if len(c) == 0:
-        return 0.0
-    anti = np.concatenate(([0.0], c / np.arange(1, len(c) + 1)))
-    cuts = [0.0, h]
-    if len(c) > 1:
-        for rt in np.roots(c[::-1]):
-            if abs(rt.imag) < 1e-12 and 0.0 < rt.real < h:
-                cuts.append(float(rt.real))
-    cuts = np.unique(cuts)
-    vals = np.polynomial.polynomial.polyval(cuts, anti)
-    return float(np.sum(np.abs(np.diff(vals))))
+#: Bytes allowed for one block of (outer node, segment) rows in abs_integral:
+#: their coefficients, companion matrices, roots, cuts and density values.
+ABS_BLOCK_BYTES = 1 << 20
+
+
+def _abs_segment_integrals(coeffs: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Exact integrals of |p| over [0, h] for every row p of ascending coefficients.
+
+    Each row is split at its real roots inside (0, h), found as companion
+    matrix eigenvalues in one stacked call per true degree; the
+    antiderivative is then evaluated at the sorted cuts in one Horner pass.
+    Unused cut slots hold 0 and add empty intervals.
+    """
+    rows, width = coeffs.shape
+    cuts = np.zeros((rows, width + 1))
+    cuts[:, -1] = h
+    nonzero = coeffs != 0.0
+    degree = np.where(nonzero.any(axis=1), width - 1 - np.argmax(nonzero[:, ::-1], axis=1), 0)
+    for k in np.unique(degree[degree > 0]):
+        sel = np.nonzero(degree == k)[0]
+        c = coeffs[sel, : k + 1]
+        companion = np.zeros((len(sel), k, k))
+        companion[:, 0, :] = -c[:, k - 1::-1] / c[:, k:]
+        companion[:, np.arange(1, k), np.arange(k - 1)] = 1.0
+        roots = np.linalg.eigvals(companion)
+        real = (np.abs(roots.imag) < 1e-12) & (roots.real > 0.0) & (roots.real < h[sel, None])
+        cuts[sel, 1 : k + 1] = np.where(real, roots.real, 0.0)
+    cuts.sort(axis=1)
+    anti = np.concatenate([np.zeros((rows, 1)), coeffs / np.arange(1, width + 1)], axis=1)
+    vals = _poly_eval(anti.T[:, :, None], cuts)
+    return np.abs(np.diff(vals, axis=1)).sum(axis=1)
 
 
 def abs_integral(
@@ -290,82 +308,63 @@ def abs_integral(
     region=None,
     quad: QuadratureSpec = DEFAULT_QUAD,
     density: Density | None = None,
-    x_refine: int = 4,
 ) -> float:
     """Integral of rho * |f| over the region (rho = 1 when density is None).
 
-    For functions of two coordinates the inner axis is integrated exactly
-    by splitting each polynomial segment at its sign changes; the outer
-    axis uses refined breakpoint-aligned Gauss panels.  Higher dimensions
-    fall back to an oversampled tensor Gauss rule.
+    The last axis is integrated exactly: at every node of the outer axes
+    each polynomial segment is split at its sign changes.  The outer axes
+    use breakpoint- and density-edge-aligned Gauss panels refined 4x.
+    Outer nodes are processed in blocks that fit ABS_BLOCK_BYTES, so memory
+    does not grow with the quadrature tensor.
     """
-    from .mixed_space import _clip_box
-
     if f.is_zero:
         return 0.0
     box = _clip_box(f, region if region is not None else (density.region if density else None))
     if box is None:
         return 0.0
 
-    if f.ndim != 2:
-        rules = []
-        for a, (lo, hi) in enumerate(box):
-            breaks = f.axis_breakpoints(a)
-            if density is not None:
-                breaks = np.concatenate([breaks, density.cell_edges[a]])
-            rules.append(axis_rule(lo, hi, breaks, QuadratureSpec(quad.order, quad.refine * 4)))
-        vals = np.abs(f.evaluate_grid([r[0] for r in rules]))
-        if density is not None:
-            mesh = np.meshgrid(*[r[0] for r in rules], indexing="ij")
-            pts = np.stack([m.ravel() for m in mesh], axis=1)
-            vals = vals * density.pdf(pts).reshape(vals.shape)
-        for _, w in rules[::-1]:
-            vals = vals @ w
-        return float(vals)
-
-    (xlo, xhi), (ylo, yhi) = box
-    xbreaks = f.axis_breakpoints(0)
-    ybreaks = [f.axis_breakpoints(1), [ylo, yhi]]
+    last = f.ndim - 1
+    breaks = [f.axis_breakpoints(a) for a in range(f.ndim)]
     if density is not None:
-        xbreaks = np.concatenate([xbreaks, density.cell_edges[0]])
-        ybreaks.append(density.cell_edges[1])
-    xnodes, xweights = axis_rule(xlo, xhi, xbreaks, QuadratureSpec(quad.order, quad.refine * x_refine))
-    if len(xnodes) == 0:
-        return 0.0
-    ygrid = panel_edges(ylo, yhi, np.concatenate([np.asarray(b, float) for b in ybreaks]))
-    if len(ygrid) < 2:
+        breaks = [np.concatenate([b, e]) for b, e in zip(breaks, density.cell_edges)]
+    outer_spec = QuadratureSpec(quad.order, quad.refine * 4)
+    rules = [axis_rule(lo, hi, breaks[a], outer_spec) for a, (lo, hi) in enumerate(box[:last])]
+    ygrid = panel_edges(*box[last], breaks[last])
+    if any(len(nodes) == 0 for nodes, _ in rules) or len(ygrid) < 2:
         return 0.0
 
-    # per-term data: y-coefficients per segment and x-factor values per node
-    seg_coeffs = []
-    xvals = []
-    for w, (fx, fy) in f.terms:
-        seg_coeffs.append(fy.resampled(ygrid))
-        xvals.append(w * fx(xnodes))
+    # per-axis term data: outer factor values per node, last-axis segment coefficients
+    term_weights = np.array([w for w, _ in f.terms])
+    outer_vals = [np.stack([fs[a](rules[a][0]) for _, fs in f.terms]) for a in range(last)]
+    seg_coeffs = [fs[last].resampled(ygrid) for _, fs in f.terms]
     width = max(c.shape[1] for c in seg_coeffs)
-    stacked = np.zeros((len(f.terms), len(ygrid) - 1, width))
+    nseg = len(ygrid) - 1
+    stacked = np.zeros((len(f.terms), nseg, width))
     for t, c in enumerate(seg_coeffs):
         stacked[t, :, : c.shape[1]] = c
-    xv = np.stack(xvals, axis=1)  # (nx, T)
-    coeff = np.einsum("it,tsd->isd", xv, stacked)  # (nx, nseg, width)
-
-    if density is not None:
-        ymid = 0.5 * (ygrid[:-1] + ygrid[1:])
-        probe = np.stack(
-            [np.repeat(xnodes, len(ymid)), np.tile(ymid, len(xnodes))], axis=1
-        )
-        dens = density.pdf(probe).reshape(len(xnodes), len(ymid))
-    else:
-        dens = np.ones((len(xnodes), len(ygrid) - 1))
-
+    stacked = stacked.reshape(len(f.terms), nseg * width)
     seg_h = np.diff(ygrid)
+    ymid = 0.5 * (ygrid[:-1] + ygrid[1:])
+
+    shape = tuple(len(nodes) for nodes, _ in rules)
+    node_bytes = 8 * (len(f.terms) + nseg * ((width + 2) ** 2 + f.ndim))
+    block = max(1, ABS_BLOCK_BYTES // node_bytes)
+    count = math.prod(shape)
     total = 0.0
-    for i in range(len(xnodes)):
-        inner = 0.0
-        for s in range(len(seg_h)):
-            inner += dens[i, s] * _abs_poly_integral(coeff[i, s], seg_h[s])
-        total += xweights[i] * inner
-    return float(total)
+    for start in range(0, count, block):
+        idx = np.unravel_index(np.arange(start, min(start + block, count)), shape)
+        xv = term_weights * np.prod([v[:, i].T for v, i in zip(outer_vals, idx)], axis=0)
+        coeff = (xv @ stacked).reshape(-1, width)
+        inner = _abs_segment_integrals(coeff, np.tile(seg_h, len(idx[0]))).reshape(-1, nseg)
+        if density is not None:
+            probe = np.empty(inner.shape + (f.ndim,))
+            for a, (nodes, _) in enumerate(rules):
+                probe[..., a] = nodes[idx[a], None]
+            probe[..., last] = ymid
+            inner = inner * density.pdf(probe.reshape(-1, f.ndim)).reshape(inner.shape)
+        wts = np.prod([w[i] for (_, w), i in zip(rules, idx)], axis=0)
+        total += float(wts @ inner.sum(axis=1))
+    return total
 
 
 class AverageSampleStatistic:
@@ -376,15 +375,8 @@ class AverageSampleStatistic:
         self.conv = convolve(f, kernel)
         self.kernel = kernel
         self.rho = rho
-        self.mean_abs = abs_integral(self.conv, rho.region, quad, density=rho, x_refine=4)
+        self.mean_abs = abs_integral(self.conv, rho.region, quad, density=rho)
 
     def at(self, points) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         return np.abs(self.conv.evaluate(pts)) - self.mean_abs
-
-
-def y_statistic(f: TensorFunction, kernel: AveragingKernel, rho: Density, point,
-                quad: QuadratureSpec = DEFAULT_QUAD) -> float:
-    """|(f * psi)(point)| minus the rho-expectation of |f * psi| over the cuboid."""
-    stat = AverageSampleStatistic(f, kernel, rho, quad)
-    return float(stat.at(point)[0])

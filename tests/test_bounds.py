@@ -24,7 +24,6 @@ from avgsamp.bounds import (
     lattice_decay_sum,
     mu_class_report,
     omega_class_report,
-    reconstruction_probability,
     reconstruction_report,
     uniform_tail_bound,
 )
@@ -437,20 +436,21 @@ class TestReconstructionProbability:
         A1 = 2 * math.exp(M * math.log(4 * cs + 1))
         A2 = 4 * ((2 * cs + 0.25) * (cs + 0.25)) ** M / (3 * math.log(2) ** 2 * 9)
         oracle = 1 - A1 * math.exp(-25 * b1) - A2 * math.exp(-25 * b2)
-        assert reconstruction_probability(P, gamma, bt, n, m) == pytest.approx(oracle, rel=1e-10)
+        assert reconstruction_report(P, gamma, bt, n, m)["probability_raw"] == pytest.approx(
+            oracle, rel=1e-10)
 
     def test_monotone_and_limit(self):
         P = base_params()
-        vals = [reconstruction_probability(P, 0.5, 0.05, n, n)
+        vals = [reconstruction_report(P, 0.5, 0.05, n, n)["probability_raw"]
                 for n in (5, 50, 5000, 10 ** 9)]
         assert all(a <= b for a, b in zip(vals, vals[1:]))
         assert vals[-1] == pytest.approx(1.0, abs=1e-9)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            reconstruction_probability(base_params(), 0.5, 0.0, 5, 5)
+            reconstruction_report(base_params(), 0.5, 0.0, 5, 5)
         with pytest.raises(ValueError):
-            reconstruction_probability(base_params(), 1.0, 0.1, 5, 5)
+            reconstruction_report(base_params(), 1.0, 0.1, 5, 5)
 
 
 class TestSpaceParams:

@@ -323,6 +323,18 @@ class TestGeneratorSet:
         envelope = c / ((1 + np.abs(pts[:, 0])) ** 2 * (1 + np.abs(pts[:, 1])) ** 2)
         assert np.all(np.abs(gen.evaluate(pts)) <= envelope * (1 + 1e-9))
 
+    def test_decay_constant_of_a_sum_is_the_sum_of_term_constants(self):
+        gen = tensor_bspline([2, 2]) + tensor_bspline([1, 2], [0.5, -0.5], -0.7)
+        c = decay_constant(gen, 2.0, 3.0)
+        parts = [decay_constant(TensorFunction([term]), 2.0, 3.0) for term in gen.terms]
+        assert c == sum(parts)
+        rng = np.random.default_rng(11)
+        pts = rng.uniform(-2.1, 2.1, (4000, 2))
+        envelope = c / ((1 + np.abs(pts[:, 0])) ** 2 * (1 + np.abs(pts[:, 1])) ** 3)
+        assert np.all(np.abs(gen.evaluate(pts)) <= envelope * (1 + 1e-9))
+        zero = decay_constant(TensorFunction.zero(2), 2.0, 2.0)
+        assert zero == 0.0 and isinstance(zero, float)
+
 
 class TestHelpers:
     def test_integral_linear(self):

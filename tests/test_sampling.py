@@ -1,8 +1,13 @@
 """Tests for densities, sample draws, kernels and the centered statistic."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as P
 from numpy.polynomial.legendre import leggauss
+from scipy.integrate import quad
+from scipy.optimize import brentq
 
 from avgsamp.mixed_space import (
     Cuboid,
@@ -14,17 +19,34 @@ from avgsamp.mixed_space import (
     tensor_bspline,
 )
 from avgsamp.piecewise import bspline, coefficient_distance
+from avgsamp.quadrature import QuadratureSpec
 from avgsamp.sampling import (
     AverageSampleStatistic,
     AveragingKernel,
     Density,
+    _abs_segment_integrals,
     abs_integral,
     average_sample,
     average_samples,
     convolve,
     draw_samples,
-    y_statistic,
 )
+
+
+def scalar_abs_poly_integral(coeffs, h):
+    """Reference for _abs_segment_integrals: one row, split at its np.roots."""
+    c = np.trim_zeros(coeffs, "b")
+    if len(c) == 0:
+        return 0.0
+    anti = np.concatenate(([0.0], c / np.arange(1, len(c) + 1)))
+    cuts = [0.0, h]
+    if len(c) > 1:
+        for rt in np.roots(c[::-1]):
+            if abs(rt.imag) < 1e-12 and 0.0 < rt.real < h:
+                cuts.append(float(rt.real))
+    cuts = np.unique(cuts)
+    vals = P.polyval(cuts, anti)
+    return float(np.sum(np.abs(np.diff(vals))))
 
 
 def gauss_box_average(f, center, half, order=40):
@@ -243,7 +265,7 @@ class TestAverageSample:
 class TestCenteredStatistic:
     def test_zero_signal(self, benchmark_setup):
         ck, rho, kernel, f = benchmark_setup
-        assert y_statistic(TensorFunction.zero(2), kernel, rho, (0.0, 0.0)) == 0.0
+        assert AverageSampleStatistic(TensorFunction.zero(2), kernel, rho).at((0.0, 0.0))[0] == 0.0
 
     def test_monte_carlo_mean_is_zero(self, benchmark_setup):
         ck, rho, kernel, f = benchmark_setup
@@ -292,10 +314,8 @@ class TestCenteredStatistic:
         """The density-weighted absolute integral hits its 1e-9 target."""
         ck, rho, kernel, f = benchmark_setup
         conv = convolve(f, kernel)
-        from avgsamp.quadrature import QuadratureSpec
-
-        coarse = abs_integral(conv, ck, density=rho, x_refine=4)
-        fine = abs_integral(conv, ck, QuadratureSpec(12, 8), density=rho, x_refine=4)
+        coarse = abs_integral(conv, ck, density=rho)
+        fine = abs_integral(conv, ck, QuadratureSpec(12, 8), density=rho)
         assert abs(coarse - fine) < 1e-9
 
     def test_young_mixed_and_sup_variants(self, benchmark_setup):
@@ -308,3 +328,69 @@ class TestCenteredStatistic:
             rhs = mixed_norm(f, p, q, ck.scaled(2)) * kernel.l11_norm
             assert lhs <= rhs + 1e-8
         assert sup_norm(conv, ck) <= sup_norm(f, ck.scaled(2)) * kernel.l11_norm + 1e-8
+
+
+class TestAbsIntegral:
+    def test_segment_integrals_match_scalar_root_splitting(self):
+        rng = np.random.default_rng(31)
+        width = 5
+        rows, hs = [], []
+        for i in range(300):
+            h = float(rng.uniform(0.2, 2.0))
+            kind = i % 4
+            if kind == 0:  # random degree 0..4, zero-padded above its degree
+                c = rng.normal(size=int(rng.integers(1, width + 1)))
+            elif kind == 1:  # a root on a segment edge
+                edge = 0.0 if rng.random() < 0.5 else h
+                c = P.polymul([-edge, 1.0], rng.normal(size=int(rng.integers(1, width))))
+            elif kind == 2:  # a double root inside the segment
+                c = P.polymul(P.polyfromroots([rng.uniform(0, h)] * 2),
+                              rng.normal(size=int(rng.integers(1, width - 1))))
+            else:  # every root inside the segment
+                c = P.polyfromroots(rng.uniform(0, h, int(rng.integers(1, width))))
+            rows.append(np.pad(c, (0, width - len(c))))
+            hs.append(h)
+        rows.append(np.zeros(width))
+        hs.append(1.0)
+        coeffs, hs = np.array(rows), np.array(hs)
+        got = _abs_segment_integrals(coeffs, hs)
+        want = np.array([scalar_abs_poly_integral(c, h) for c, h in zip(coeffs, hs)])
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14)
+
+    def test_three_dimensional_value_is_exact(self):
+        """B2(x) B1(y1) (B2(y2) - 0.6 B2(y2 - 0.5)) has one sign change in y2."""
+        f = tensor_bspline([2, 1, 2]) + tensor_bspline([2, 1, 2], [0, 0, 0.5], -0.6)
+        b2 = bspline(2)
+
+        def g(y):
+            return b2(y) - 0.6 * b2(y - 0.5)
+
+        knots = np.unique(np.concatenate([b2.breakpoints, b2.breakpoints + 0.5]))
+        cuts = list(knots)
+        for a, b in zip(knots[:-1], knots[1:]):
+            ys = np.linspace(a, b, 101)
+            vals = g(ys)
+            cuts += [brentq(g, ys[i], ys[i + 1]) for i in range(100) if vals[i] * vals[i + 1] < 0]
+        cuts = np.unique(cuts)
+        # the x and y1 factors are nonnegative and integrate to one
+        oracle = sum(abs(quad(g, a, b, epsabs=1e-15, epsrel=1e-13)[0])
+                     for a, b in zip(cuts[:-1], cuts[1:]))
+        for spec in (QuadratureSpec(8, 1), QuadratureSpec(4, 1)):
+            assert abs_integral(f, Cuboid(2, 2, 2), spec) == pytest.approx(oracle, rel=1e-12)
+
+    def test_density_weighted_d2_peak_memory_is_bounded(self):
+        ck = Cuboid(1.5, 1.5, 2)
+        phi = GeneratorSet((tensor_bspline([2, 2, 2]),), 1.5, 2, 2, 0.1, 1.0)
+        g = synthesize(phi, random_unit_grid(1, 1, 2, 2, 2, np.random.default_rng(3)))
+        conv = convolve(g, AveragingKernel.box([(-0.125, 0.125)] * 3, ck))
+        rho = Density.uniform(ck)
+        peaks = []
+        # a full tensor grid of quadrature nodes would take ~160 MB and ~550 MB here
+        for spec in (QuadratureSpec(4, 1), QuadratureSpec(6, 1)):
+            tracemalloc.start()
+            try:
+                abs_integral(conv, ck, spec, density=rho)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert max(peaks) < 8 * 2 ** 20
