@@ -8,6 +8,7 @@ from .mixed_space import (
     CoefficientGrid,
     Cuboid,
     GeneratorSet,
+    LatticeSpline,
     TensorFunction,
     box_function,
     decay_constant,

@@ -26,8 +26,10 @@ from .sampling import draw_samples
 CSV_DOC = """\
 output column orders (CSV, UTF-8, '.' decimal, one header row after the
 '# config_sha256=... seed=...' comment line):
-  table:   n,m,sup_error,l1_error,l2_error,rank,rank_deficient,residual,row_seed
-           (error fields are empty on rank-deficient rows)
+  table:   n,m,sup_error,l1_error,l2_error,rank,rank_deficient,residual,row_seed,
+           sigma_min,condition_number
+           (error fields are empty on rank-deficient rows; sigma_min and
+           condition_number of the sample matrix are on every row)
   surface: x,y,value
   samples: j,k,x,y1..yd
 sweep and constants write JSON with the same embedded hash and seed.

@@ -30,10 +30,11 @@ from .mixed_space import (
     CoefficientGrid,
     Cuboid,
     GeneratorSet,
+    LatticeSpline,
     TensorFunction,
+    _shift_gram,
     decay_constant,
     estimate_stability,
-    mixed_norm,
     sup_norm,
     synthesize,
     tensor_bspline,
@@ -44,6 +45,7 @@ from .reconstruction import (
     TrialSpec,
     beta_tilde,
     build_sample_matrix,
+    conditioning,
     empirical_success,
     solve,
 )
@@ -71,12 +73,11 @@ def config_hash(raw: dict) -> str:
 class Experiment:
     """A fully resolved experiment: spaces, generators, kernel, density, signal.
 
-    stability_certified: alpha1 and alpha2 are exact Gram bounds, which needs
-    p = q = 2, neither constant supplied, and a single generator.  The Gram
-    bounds hold against the Euclidean coefficient norm, which for r > 1 is
-    not the l^{2,2} norm of the bounds (CoefficientGrid.seq_mixed_norm sums
-    the per-generator block norms, up to sqrt(r) larger), so alpha1 can
-    exceed the true constant there.
+    stability_certified: alpha1 and alpha2 are Gram bounds, which needs
+    p = q = 2 and neither constant supplied.  They hold against the l^{2,2}
+    norm of the bounds (CoefficientGrid.seq_mixed_norm, which sums the
+    per-generator block norms); for r > 1 alpha1 is the Euclidean Gram bound
+    divided by sqrt(r) (see estimate_stability), for r = 1 both are exact.
     """
 
     raw: dict
@@ -185,7 +186,7 @@ def build_experiment(raw: dict, seed_override: int | None = None) -> Experiment:
     stab = gen.get("stability", {})
     a1_raw, a2_raw = stab.get("alpha1"), stab.get("alpha2")
     stability_estimated = a1_raw is None or a2_raw is None
-    stability_certified = a1_raw is None and a2_raw is None and p == q == 2.0 and len(funcs) == 1
+    stability_certified = a1_raw is None and a2_raw is None and p == q == 2.0
     if stability_estimated:
         lo, hi = estimate_stability(funcs, p, q, N, int(stab.get("trials", 40)), seed, quad)
     alpha1 = lo if a1_raw is None else float(a1_raw)
@@ -228,6 +229,8 @@ class TableRow:
     l1_error: float
     l2_error: float
     residual: float
+    sigma_min: float
+    condition_number: float
 
 
 @dataclass
@@ -239,7 +242,8 @@ class ResultTable:
     seed: int
 
     CSV_COLUMNS = ("n", "m", "sup_error", "l1_error", "l2_error",
-                   "rank", "rank_deficient", "residual", "row_seed")
+                   "rank", "rank_deficient", "residual", "row_seed",
+                   "sigma_min", "condition_number")
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="", encoding="utf-8") as fh:
@@ -252,17 +256,24 @@ class ResultTable:
                     repr(r.sup_error), repr(r.l1_error), repr(r.l2_error)]
                 writer.writerow([r.n, r.m, *errs, r.rank, int(r.rank_deficient),
                                  repr(r.residual) if not r.rank_deficient else "",
-                                 r.seed])
+                                 r.seed, repr(r.sigma_min), repr(r.condition_number)])
 
 
 def run_table(exp: Experiment, rank_tol: float = 1e-10) -> ResultTable:
     """Draw, reconstruct and measure errors for every configured (n, m).
 
-    Rank-deficient draws are recorded with the observed rank and empty
-    error fields; they are reported, never retried.
+    Every error is a norm over the cuboid of the lattice spline of the
+    coefficient error delta = c - c_hat, which is f minus the
+    reconstruction: the sup error by sup_norm on a LatticeSpline (the same
+    candidate grid and refine steps as for an expanded function), the L2
+    error exactly as sqrt(delta^T G delta) with G the shift Gram over the
+    cuboid, and the L1 error by abs_integral.  Every row also carries the
+    sample matrix's smallest singular value and condition number.
+    Rank-deficient draws are recorded with the observed rank, those two
+    values and empty error fields; they are reported, never retried.
     """
-    f = exp.f
     conv = exp.conv
+    gram = _shift_gram(exp.phi.generators, exp.N, exp.cuboid, exp.quad)
     rows = []
     for n, m in exp.sample_sizes:
         rseed = row_seed(exp.seed, n, m)
@@ -272,15 +283,16 @@ def run_table(exp: Experiment, rank_tol: float = 1e-10) -> ResultTable:
         try:
             res = solve(S, values, rank_tol)
         except RankDeficientError as exc:
-            rows.append(TableRow(n, m, rseed, exc.rank, True,
-                                 math.nan, math.nan, math.nan, math.nan))
+            rows.append(TableRow(n, m, rseed, exc.rank, True, math.nan, math.nan, math.nan,
+                                 math.nan, *conditioning(exc.singular_values, exc.columns)))
             continue
-        recon = synthesize(exp.phi, res.grid)
-        diff = f - recon
-        sup = sup_norm(diff, exp.cuboid)
-        l1 = abs_integral(diff, exp.cuboid, exp.quad)
-        l2 = mixed_norm(diff, 2.0, 2.0, exp.cuboid, exp.quad) if not diff.is_zero else 0.0
-        rows.append(TableRow(n, m, rseed, res.rank, False, sup, l1, l2, res.residual))
+        delta = CoefficientGrid(exp.signal.values - res.grid.values, exp.N)
+        flat = delta.flatten()
+        sup = sup_norm(LatticeSpline(exp.phi, delta), exp.cuboid)
+        l1 = abs_integral(synthesize(exp.phi, delta), exp.cuboid, exp.quad)
+        l2 = math.sqrt(max(float(flat @ gram @ flat), 0.0))
+        rows.append(TableRow(n, m, rseed, res.rank, False, sup, l1, l2, res.residual,
+                             *conditioning(res.singular_values, delta.size)))
     return ResultTable(rows, exp.hash, exp.seed)
 
 
@@ -388,7 +400,7 @@ def constants_report(exp: Experiment, selector: str, **extra) -> BoundReport:
     selector: omega | mu | concentrated | reconstruction.  Keyword
     arguments override the config's sweep defaults; n and m default to the
     first configured sample size.  Flags: stability_certified (alpha1 and
-    alpha2 are exact Gram bounds, see Experiment) and decay_fitted.
+    alpha2 are certified Gram bounds, see Experiment) and decay_fitted.
     """
     params = exp.space_params()
     defaults = dict(exp.sweep_defaults)

@@ -17,7 +17,7 @@ from functools import reduce
 
 import numpy as np
 
-from .piecewise import PiecewisePoly1D, bspline
+from .piecewise import PiecewisePoly1D, _poly_eval, _real_roots, bspline
 from .quadrature import QuadratureSpec, axis_rule, panel_edges
 
 DEFAULT_QUAD = QuadratureSpec()
@@ -116,6 +116,12 @@ class TensorFunction:
             return np.empty(0)
         return np.unique(np.concatenate([fs[axis].breakpoints for _, fs in self.terms]))
 
+    def axis_critical_points(self, axis: int) -> np.ndarray:
+        """Interior stationary points of every term's factor on one axis."""
+        if self.is_zero:
+            return np.empty(0)
+        return np.concatenate([fs[axis].critical_points() for _, fs in self.terms])
+
     # -- evaluation -------------------------------------------------------
 
     def evaluate(self, points) -> np.ndarray:
@@ -198,7 +204,7 @@ class GeneratorSet:
     ``|phi(x, y)| <= decay_c / ((1+|x|)^s1 (1+|y|)^s2)`` and alpha1 <= alpha2
     bracket the norm equivalence between coefficients and synthesized
     functions.  Stability constants may be supplied or computed by
-    estimate_stability (exact Gram bounds for p = q = 2).
+    estimate_stability (certified Gram bounds for p = q = 2).
     """
 
     generators: tuple[TensorFunction, ...]
@@ -241,25 +247,46 @@ class GeneratorSet:
             )
 
 
-def decay_constant(f: TensorFunction, s1: float, s2: float, points_per_piece: int = 200) -> float:
+def _weighted_max(g: PiecewisePoly1D, s: float) -> float:
+    """sup_t |g(t)| (1+|t|)^s, one-sided limits at breakpoints included.
+
+    On each piece the weighted function is smooth on either side of t = 0,
+    so its maximum sits at a piece end, at t = 0, or at a real root of
+    g'(t) (1+|t|) + sign(t) s g(t).  Both signs are solved on every piece
+    in local coordinates; a root on the wrong side of 0 is still a point of
+    the piece, so it can only add a lower candidate.
+    """
+    if g.num_pieces == 0:
+        return 0.0
+    t0 = g.breakpoints[:-1]
+    h = np.diff(g.breakpoints)
+    p = g.coeffs
+    dp = np.zeros_like(p)
+    dp[:, :-1] = p[:, 1:] * np.arange(1, p.shape[1])
+    # (1 + sign t) g'(t) + sign s g(t) with t = t0 + u, both signs in one stack
+    sign = np.array([1.0, -1.0])[:, None, None]
+    q = (1.0 + sign * t0[:, None]) * dp + sign * s * p
+    q[:, :, 1:] += sign * dp[:, :-1]
+    roots, inside = _real_roots(q.reshape(-1, p.shape[1]), np.tile(h, 2))
+    u = np.hstack([np.zeros((len(h), 1)), h[:, None], np.clip(-t0, 0.0, h)[:, None],
+                   *np.where(inside, roots, 0.0).reshape(2, len(h), -1)])
+    vals = np.abs(_poly_eval(p.T[:, :, None], u)) * (1.0 + np.abs(t0[:, None] + u)) ** s
+    return float(np.max(vals))
+
+
+def decay_constant(f: TensorFunction, s1: float, s2: float) -> float:
     """Envelope constant C with |f(x,y)| (1+|x|)^s1 (1+|y|)^s2 <= C.
 
     Uses the max norm for |y| when d > 1.  Each term contributes |w| times
-    the product of its per-axis 1-D maxima of |g(t)| (1+|t|)^s.  For one
-    term with d = 1 that is the tight value, which is what the B-spline
-    generators need; for several terms the sum is an envelope by the
-    triangle inequality.
+    the product of its per-axis 1-D maxima of |g(t)| (1+|t|)^s, each exact
+    (see _weighted_max).  For one term with d = 1 that is the tight value,
+    which is what the B-spline generators need; for several terms the sum
+    is an envelope by the triangle inequality.
     """
-    def axis_max(g: PiecewisePoly1D, s: float) -> float:
-        lo, hi = g.support
-        xs = [np.linspace(lo, hi, points_per_piece * max(g.num_pieces, 1)), g.critical_points(), g.breakpoints]
-        xs = np.concatenate(xs)
-        return float(np.max(np.abs(g(xs)) * (1.0 + np.abs(xs)) ** s))
-
     def term_max(w: float, fs) -> float:
         out = abs(w)
         for a, g in enumerate(fs):
-            out *= axis_max(g, s1 if a == 0 else s2)
+            out *= _weighted_max(g, s1 if a == 0 else s2)
         return out
 
     return float(sum(term_max(w, fs) for w, fs in f.terms))
@@ -392,6 +419,81 @@ def synthesize(generators, c: CoefficientGrid) -> TensorFunction:
     return out
 
 
+class LatticeSpline:
+    """Sum_i sum_{|k| <= N} c_i(k) phi_i(. - k), kept as generators plus coefficients.
+
+    The same function synthesize expands into one term per coefficient.
+    Here a tensor grid is evaluated by contracting each generator term's
+    coefficient block, axis by axis, with the shift matrices
+    factor(nodes - k) (mode-n products), so the cost grows with the grid
+    plus the coefficients, not with their product.  Support, breakpoints
+    and critical points are those of the shifts with a nonzero
+    coefficient, as for the expanded function.
+    """
+
+    def __init__(self, generators, c: CoefficientGrid):
+        funcs = generators.generators if isinstance(generators, GeneratorSet) else tuple(generators)
+        self.ndim = funcs[0].ndim
+        self.N = c.N
+        # (generator, coefficient block, per axis the shifts with a nonzero coefficient)
+        self._parts = []
+        for phi, block in zip(funcs, c.values):
+            nonzero = block != 0.0
+            if phi.is_zero or not nonzero.any():
+                continue
+            shifts = [np.flatnonzero(nonzero.any(axis=tuple(b for b in range(self.ndim) if b != a)))
+                      - float(c.N) for a in range(self.ndim)]
+            self._parts.append((phi, block, shifts))
+
+    @property
+    def is_zero(self) -> bool:
+        return not self._parts
+
+    def _shifted(self, axis: int, points) -> list[np.ndarray]:
+        """Per generator term: every point plus every active shift on the axis."""
+        return [(np.asarray(points(fs[axis]), dtype=float)[:, None] + ks[axis]).ravel()
+                for phi, _, ks in self._parts for _, fs in phi.terms]
+
+    def support_box(self) -> list[tuple[float, float]]:
+        if self.is_zero:
+            return [(0.0, 0.0)] * self.ndim
+        box = []
+        for a in range(self.ndim):
+            ends = np.concatenate(self._shifted(a, lambda g: g.support))
+            box.append((float(ends.min()), float(ends.max())))
+        return box
+
+    def axis_breakpoints(self, axis: int) -> np.ndarray:
+        if self.is_zero:
+            return np.empty(0)
+        return np.unique(np.concatenate(self._shifted(axis, lambda g: g.breakpoints)))
+
+    def axis_critical_points(self, axis: int) -> np.ndarray:
+        """Stationary points of each distinct factor, found once and shifted."""
+        if self.is_zero:
+            return np.empty(0)
+        return np.concatenate(self._shifted(axis, lambda g: g.critical_points()))
+
+    def evaluate_grid(self, axes) -> np.ndarray:
+        """Values on the tensor grid spanned by per-axis node arrays, one per axis."""
+        if len(axes) != self.ndim:
+            raise ValueError(f"evaluate_grid needs {self.ndim} axes, got {len(axes)}")
+        offsets = np.arange(-self.N, self.N + 1, dtype=float)
+        out = None
+        for phi, block, _ in self._parts:
+            for w, fs in phi.terms:
+                vals = w * block
+                for g, ax in zip(fs, axes):
+                    # contract the leading shift axis; the node axis goes last
+                    shift_matrix = g(np.asarray(ax, dtype=float)[:, None] - offsets)
+                    vals = np.tensordot(vals, shift_matrix, axes=(0, 1))
+                if out is None:
+                    out = vals
+                else:
+                    out += vals
+        return np.zeros(tuple(len(ax) for ax in axes)) if out is None else out
+
+
 # -- norms ----------------------------------------------------------------
 
 
@@ -445,7 +547,8 @@ def sup_norm(f: TensorFunction, region=None, points_per_piece: int = 33,
     """Max of |f| over a breakpoint-refined grid plus per-piece stationary points.
 
     The winning grid cell is then refined locally a few times, which
-    recovers interior maxima that sit between grid lines.
+    recovers interior maxima that sit between grid lines.  f is a
+    TensorFunction or a LatticeSpline; both give the same candidate grid.
     """
     if f.is_zero:
         return 0.0
@@ -458,11 +561,11 @@ def sup_norm(f: TensorFunction, region=None, points_per_piece: int = 33,
         cands = [edges]
         for s, e in zip(edges[:-1], edges[1:]):
             cands.append(np.linspace(s, e, points_per_piece))
-        for _, fs in f.terms:
-            crit = fs[a].critical_points()
-            cands.append(crit[(crit >= lo) & (crit <= hi)])
+        crit = f.axis_critical_points(a)
+        cands.append(crit[(crit >= lo) & (crit <= hi)])
         axes.append(np.unique(np.concatenate(cands)))
-    vals = np.abs(f.evaluate_grid(axes))
+    vals = f.evaluate_grid(axes)
+    np.abs(vals, out=vals)
     best = float(np.max(vals))
     idx = np.unravel_index(int(np.argmax(vals)), vals.shape)
     center = [axes[a][i] for a, i in enumerate(idx)]
@@ -557,17 +660,21 @@ def estimate_stability(
 ) -> tuple[float, float]:
     """Bounds of ||sum_{i, |k| <= N} c_i(k) f_i(. - k)|| / ||c|| over the region (None: all).
 
-    For p = q = 2 these are the square roots of the extreme Gram eigenvalues,
-    exact against the Euclidean coefficient norm.  Other exponents return the
-    (min, max) over `trials` seeded random unit-coefficient grids: an upper
-    estimate of the lower constant and a lower estimate of the upper one.
+    ||c|| is CoefficientGrid.seq_mixed_norm.  For p = q = 2 the bounds come
+    from the extreme Gram eigenvalues, which are exact against the Euclidean
+    coefficient norm; the block-summed norm lies between that norm and
+    sqrt(r) times it, so the lower bound is sqrt(lambda_min / r) and the
+    upper one sqrt(lambda_max), both certified (both exact for r = 1).
+    Other exponents return the (min, max) over `trials` seeded random
+    unit-coefficient grids: an upper estimate of the lower constant and a
+    lower estimate of the upper one.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     funcs = generators.generators if isinstance(generators, GeneratorSet) else tuple(generators)
     if p == 2.0 and q == 2.0:
         lam = np.linalg.eigvalsh(_shift_gram(funcs, N, region, quad))
-        return float(np.sqrt(max(lam[0], 0.0))), float(np.sqrt(max(lam[-1], 0.0)))
+        return float(np.sqrt(max(lam[0], 0.0) / len(funcs))), float(np.sqrt(max(lam[-1], 0.0)))
     rng = np.random.default_rng(seed)
     lo, hi = np.inf, 0.0
     for _ in range(trials):

@@ -43,6 +43,31 @@ def _poly_eval(coeffs: np.ndarray, u: np.ndarray) -> np.ndarray:
     return out
 
 
+def _real_roots(coeffs: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Roots of every row p of ascending coefficients, and which lie in (0, h).
+
+    Returns (roots, inside), both shaped (rows, width - 1): the real parts of
+    each row's companion-matrix eigenvalues, found in one stacked call per
+    true degree, and a mask of the real ones strictly inside (0, h) of that
+    row.  Slots past a row's degree hold 0 and are not inside.
+    """
+    rows, width = coeffs.shape
+    roots = np.zeros((rows, width - 1))
+    inside = np.zeros(roots.shape, dtype=bool)
+    nonzero = coeffs != 0.0
+    degree = np.where(nonzero.any(axis=1), width - 1 - np.argmax(nonzero[:, ::-1], axis=1), 0)
+    for k in np.unique(degree[degree > 0]):
+        sel = np.nonzero(degree == k)[0]
+        c = coeffs[sel, : k + 1]
+        companion = np.zeros((len(sel), k, k))
+        companion[:, 0, :] = -c[:, k - 1::-1] / c[:, k:]
+        companion[:, np.arange(1, k), np.arange(k - 1)] = 1.0
+        z = np.linalg.eigvals(companion)
+        roots[sel, :k] = z.real
+        inside[sel, :k] = (np.abs(z.imag) < 1e-12) & (z.real > 0.0) & (z.real < h[sel, None])
+    return roots, inside
+
+
 def _merge_grids(*grids) -> np.ndarray:
     pts = np.sort(np.concatenate([np.asarray(g, dtype=float) for g in grids]))
     if len(pts) == 0:

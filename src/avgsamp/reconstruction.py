@@ -34,12 +34,24 @@ from .sampling import AveragingKernel, Density, SampleSet, abs_integral, convolv
 
 
 class RankDeficientError(ValueError):
-    """Sample matrix is numerically rank deficient; carries the observed rank."""
+    """Sample matrix is numerically rank deficient; carries the observed rank
+    and the singular values of the thin SVD that found it."""
 
-    def __init__(self, rank: int, columns: int):
+    def __init__(self, rank: int, columns: int, singular_values: np.ndarray):
         super().__init__(f"sample matrix has numerical rank {rank} < {columns} columns")
         self.rank = rank
         self.columns = columns
+        self.singular_values = singular_values
+
+
+def conditioning(singular_values: np.ndarray, columns: int) -> tuple[float, float]:
+    """(sigma_min, condition_number) of a matrix with the given column count.
+
+    sigma_min is the columns-th singular value, zero when there are fewer
+    rows than columns; the condition number is infinite when it is zero.
+    """
+    smin = float(singular_values[columns - 1]) if len(singular_values) >= columns else 0.0
+    return smin, float(singular_values[0]) / smin if smin > 0.0 else math.inf
 
 
 @dataclass
@@ -123,7 +135,7 @@ def _full_rank_svd(entries: np.ndarray, rank_tol: float):
     tol = rank_tol * np.maximum(np.linalg.norm(entries, axis=-2).max(axis=-1), 1e-300)
     rank = np.sum(sv > tol[..., None], axis=-1)
     if entries.ndim == 2 and rank < entries.shape[1]:
-        raise RankDeficientError(int(rank), entries.shape[1])
+        raise RankDeficientError(int(rank), entries.shape[1], sv)
     return U, sv, Vt, rank
 
 
@@ -202,15 +214,12 @@ def dual_family(S: SampleMatrix, rank_tol: float = 1e-10) -> DualFamily:
 class BetaTildeEstimate:
     """Lower-bound constant of the convolved synthesis system on the cuboid.
 
-    certified means the value came from the smallest Gram eigenvalue
-    (p = q = 2, exact up to quadrature) of a single generator.  The Gram
-    bound holds against the Euclidean coefficient norm, which for r = 1 is
-    the l^{2,2} norm of the bounds; for r > 1 the l^{2,2} norm of
-    CoefficientGrid.seq_mixed_norm sums the per-generator block norms, up to
-    sqrt(r) times larger, so the eigenvalue value can overestimate the true
-    constant.  Uncertified values (that case, and the random search for
-    other exponents) are upper estimates and must not be used in certified
-    bounds.
+    certified means the value is the square root of the smallest Gram
+    eigenvalue (p = q = 2, exact up to quadrature) divided by sqrt(r), which
+    holds against the block-summed l^{2,2} norm
+    CoefficientGrid.seq_mixed_norm (see estimate_stability); for r = 1 it
+    is exact.  Uncertified values (the random search for other exponents)
+    are upper estimates and must not be used in certified bounds.
     """
 
     value: float
@@ -225,16 +234,14 @@ def beta_tilde(phi: GeneratorSet, kernel: AveragingKernel, N: int, p: float, q: 
 
     The lower stability constant of the convolved generators on the region
     (see estimate_stability): for p = q = 2 the square root of the smallest
-    Gram eigenvalue, otherwise a random-search upper estimate of the true
-    constant.
+    Gram eigenvalue divided by sqrt(r), otherwise a random-search upper
+    estimate of the true constant.
     """
     convolved = [convolve(g, kernel) for g in phi.generators]
     value = estimate_stability(convolved, p, q, N, trials, seed, quad, region)[0]
-    gram = p == 2.0 and q == 2.0
-    if gram and phi.r == 1:
+    if p == 2.0 and q == 2.0:
         return BetaTildeEstimate(value, True, "gram_eigenvalue")
-    return BetaTildeEstimate(value, False, "gram_eigenvalue_euclidean_upper_estimate" if gram
-                             else "random_search_upper_estimate")
+    return BetaTildeEstimate(value, False, "random_search_upper_estimate")
 
 
 @dataclass
@@ -435,9 +442,7 @@ def empirical_success(spec: TrialSpec, trials: int, seed: int,
                 ok = lower * fnorm <= stat <= upper * fnorm
                 records.append(TrialRecord(t, tseed, bool(ok), min(rows, cols), False, 0.0))
                 continue
-            # the cols-th singular value; zero when there are fewer rows than columns
-            smin = float(sv[b, -1]) if rows >= cols else 0.0
-            cond = float(sv[b, 0]) / smin if smin > 0.0 else math.inf
+            smin, cond = conditioning(sv[b], cols)
             rank = int(ranks[b])
             if rank < cols:
                 records.append(TrialRecord(t, tseed, False, rank, True, math.inf, smin, cond))

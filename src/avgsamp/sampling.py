@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .mixed_space import Cuboid, TensorFunction, DEFAULT_QUAD, _clip_box
-from .piecewise import PiecewisePoly1D, _poly_eval
+from .piecewise import PiecewisePoly1D, _poly_eval, _real_roots
 from .quadrature import QuadratureSpec, axis_rule, panel_edges
 
 
@@ -286,17 +286,8 @@ def _abs_segment_integrals(coeffs: np.ndarray, h: np.ndarray) -> np.ndarray:
     rows, width = coeffs.shape
     cuts = np.zeros((rows, width + 1))
     cuts[:, -1] = h
-    nonzero = coeffs != 0.0
-    degree = np.where(nonzero.any(axis=1), width - 1 - np.argmax(nonzero[:, ::-1], axis=1), 0)
-    for k in np.unique(degree[degree > 0]):
-        sel = np.nonzero(degree == k)[0]
-        c = coeffs[sel, : k + 1]
-        companion = np.zeros((len(sel), k, k))
-        companion[:, 0, :] = -c[:, k - 1::-1] / c[:, k:]
-        companion[:, np.arange(1, k), np.arange(k - 1)] = 1.0
-        roots = np.linalg.eigvals(companion)
-        real = (np.abs(roots.imag) < 1e-12) & (roots.real > 0.0) & (roots.real < h[sel, None])
-        cuts[sel, 1 : k + 1] = np.where(real, roots.real, 0.0)
+    roots, inside = _real_roots(coeffs, h)
+    cuts[:, 1:width] = np.where(inside, roots, 0.0)
     cuts.sort(axis=1)
     anti = np.concatenate([np.zeros((rows, 1)), coeffs / np.arange(1, width + 1)], axis=1)
     vals = _poly_eval(anti.T[:, :, None], cuts)

@@ -126,22 +126,25 @@ class TestConfig:
         exp = build_experiment(cfg)
         assert exp.phi.alpha1 == 0.1 and not exp.stability_certified
 
-    def test_two_generators_are_not_certified(self):
+    def test_two_generators_are_certified_against_the_block_norm(self):
         # the Gram bounds hold against the Euclidean coefficient norm; the
-        # l^{2,2} norm of the bounds sums the per-generator block norms
+        # l^{2,2} norm of the bounds sums the per-generator block norms, at
+        # most sqrt(r) times larger, so alpha1 is the Gram bound over sqrt(2)
         cfg = minimal_config()
         cfg["generators"]["bsplines"] = [{"degree": 1, "shift": [0.0, 0.0]},
                                          {"degree": 2, "shift": [0.5, 0.0]}]
         exp = build_experiment(cfg)
-        _, vec = np.linalg.eigh(_shift_gram(exp.phi.generators, exp.N, None, exp.quad))
+        lam, vec = np.linalg.eigh(_shift_gram(exp.phi.generators, exp.N, None, exp.quad))
         c = CoefficientGrid.from_flat(vec[:, 0], exp.phi.r, exp.N, exp.d)
         ratio = mixed_norm(synthesize(exp.phi, c), 2.0, 2.0) / c.seq_mixed_norm(2.0, 2.0)
-        assert exp.phi.alpha1 == pytest.approx(0.06167, abs=1e-5)
+        assert np.sqrt(lam[0]) == pytest.approx(0.06167, abs=1e-5)
+        assert exp.phi.alpha1 == pytest.approx(np.sqrt(lam[0] / 2.0), rel=1e-12)
         assert ratio == pytest.approx(0.04366, abs=1e-5)
-        assert not exp.stability_certified
-        assert constants_report(exp, "omega").flags["stability_certified"] is False
+        assert exp.phi.alpha1 <= ratio
+        assert exp.stability_certified
+        assert constants_report(exp, "omega").flags["stability_certified"] is True
         bt = beta_tilde(exp.phi, exp.kernel, exp.N, 2.0, 2.0, exp.cuboid)
-        assert not bt.certified and bt.method == "gram_eigenvalue_euclidean_upper_estimate"
+        assert bt.certified and bt.method == "gram_eigenvalue"
 
     def test_seed_override(self):
         exp = build_experiment(minimal_config(), seed_override=99)
@@ -198,10 +201,30 @@ class TestRunTable:
         table.to_csv(path)
         lines = path.read_text().splitlines()
         assert lines[0].startswith(f"# config_sha256={exp.hash} seed=7")
-        assert lines[1] == "n,m,sup_error,l1_error,l2_error,rank,rank_deficient,residual,row_seed"
+        assert lines[1] == ("n,m,sup_error,l1_error,l2_error,rank,rank_deficient,residual,row_seed,"
+                            "sigma_min,condition_number")
         deficient = lines[3].split(",")
         assert deficient[2] == deficient[3] == deficient[4] == ""
         assert deficient[6] == "1"
+        # one row cannot reach the 9th singular value
+        assert deficient[9:] == ["0.0", "inf"]
+
+    def test_rows_carry_the_sample_matrix_conditioning(self):
+        from avgsamp.reconstruction import build_sample_matrix
+        from avgsamp.sampling import draw_samples
+
+        cfg = minimal_config()
+        cfg["samples"]["sizes"] = [[5, 5], [2, 2]]
+        exp = build_experiment(cfg)
+        for row in run_table(exp).rows:
+            samples = draw_samples(exp.density, row.n, row.m, row.seed, exp.mode)
+            sv = np.linalg.svd(build_sample_matrix(exp.phi, exp.kernel, samples, exp.N).entries,
+                               compute_uv=False)
+            if row.rank_deficient:
+                assert row.sigma_min == 0.0 and row.condition_number == math.inf
+            else:
+                assert row.sigma_min == pytest.approx(sv[-1], rel=1e-12)
+                assert row.condition_number == pytest.approx(sv[0] / sv[-1], rel=1e-12)
 
     def test_reseeded_run_still_accurate(self):
         exp = build_experiment(minimal_config(), seed_override=123456)

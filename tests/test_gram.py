@@ -48,9 +48,14 @@ def dense_gram(funcs, N, box, quad):
 
 
 def dense_bounds(funcs, N, box, quad):
-    """Square roots of the extreme eigenvalues of the dense Gram."""
+    """Stability bounds against the block-summed l^{2,2} coefficient norm.
+
+    The square roots of the extreme eigenvalues of the dense Gram, the
+    lower one divided by sqrt(r): that norm is at most sqrt(r) times the
+    Euclidean norm the eigenvalues are exact for.
+    """
     lam = np.linalg.eigvalsh(dense_gram(funcs, N, box, quad))
-    return np.sqrt(lam[0]), np.sqrt(lam[-1])
+    return np.sqrt(lam[0] / len(funcs)), np.sqrt(lam[-1])
 
 
 def _case(name):
@@ -93,11 +98,7 @@ def test_beta_tilde_matches_dense_grid(name):
     phi = GeneratorSet(funcs, 1.0, 2.0, 2.0, 0.1, 1.0)
     est = beta_tilde(phi, kernel, N, 2.0, 2.0, ck, quad=quad)
     want, _ = dense_bounds([convolve(f, kernel) for f in funcs], N, ck.box, quad)
-    # certified against the l^{2,2} coefficient norm only for one generator
-    single = len(funcs) == 1
-    assert est.certified == single
-    assert est.method == ("gram_eigenvalue" if single
-                          else "gram_eigenvalue_euclidean_upper_estimate")
+    assert est.certified and est.method == "gram_eigenvalue"
     assert est.value == pytest.approx(want, rel=1e-12, abs=0.0)
 
 

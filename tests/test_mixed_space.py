@@ -335,6 +335,21 @@ class TestGeneratorSet:
         zero = decay_constant(TensorFunction.zero(2), 2.0, 2.0)
         assert zero == 0.0 and isinstance(zero, float)
 
+    def test_decay_constant_is_the_exact_weighted_maximum(self):
+        # the root of g'(t)(1+t) + 2 g(t) on the right piece of bspline(2)
+        assert decay_constant(TensorFunction.separable([bspline(2)]), 2.0, 2.0) == pytest.approx(
+            1.1568830992953791, rel=1e-13)
+
+    @pytest.mark.parametrize("degree, shift, s", [(0, 0.0, 2.0), (1, 0.0, 2.0), (1, 0.3, 2.5),
+                                                   (2, 0.0, 2.0), (2, -0.7, 3.0), (3, 0.0, 1.5)])
+    def test_decay_constant_is_not_below_a_fine_grid(self, degree, shift, s):
+        g = bspline(degree).shift_scale(shift, 1.0)
+        c = decay_constant(TensorFunction.separable([g]), s, s)
+        lo, hi = g.support
+        xs = np.linspace(lo, hi, 2_000_001)
+        grid_max = np.max(np.abs(g(xs)) * (1.0 + np.abs(xs)) ** s)
+        assert grid_max <= c <= grid_max * (1.0 + 1e-9)
+
 
 class TestHelpers:
     def test_integral_linear(self):

@@ -1,5 +1,7 @@
 """Tests for matrix assembly, recovery, dual functions and trial loops."""
 
+import math
+
 import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
@@ -19,6 +21,7 @@ from avgsamp.reconstruction import (
     TrialSpec,
     beta_tilde,
     build_sample_matrix,
+    conditioning,
     dual_family,
     empirical_success,
     membership,
@@ -125,6 +128,9 @@ class TestSolve:
             solve(S, np.zeros(1))
         assert err.value.rank <= 1
         assert err.value.columns == 25
+        # the one singular value of a single row; the 25th is missing
+        assert err.value.singular_values.shape == (1,)
+        assert conditioning(err.value.singular_values, 25) == (0.0, math.inf)
 
     def test_vector_length_checked(self, quadratic_setup):
         ck, rho, kernel, phi, _ = quadratic_setup
