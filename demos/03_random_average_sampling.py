@@ -32,11 +32,11 @@ f = synthesize(phi, CoefficientGrid.from_entries(1, 2, 1, [
 print("=== uniform density, joint draws ===")
 rho = Density.uniform(region)
 samples = draw_samples(rho, 5, 5, seed=42)
-print(f"25 points in {region.box}, acceptance rate {samples.acceptance_rate:.3f}")
+print(f"25 points in {region.box}")
 print(f"first three: {np.round(samples.points[:3], 4).tolist()}")
 
 print()
-print("=== a piecewise-constant density, rejection-sampled ===")
+print("=== a piecewise-constant density, drawn cell by cell ===")
 rho2 = Density.piecewise_constant(
     region,
     [np.array([-2.5, 0.0, 2.5]), np.array([-2.5, 2.5])],
@@ -46,7 +46,6 @@ big = draw_samples(rho2, 300, 300, seed=43)
 frac = np.mean(big.points[:, 0] < 0)
 print(f"density bounds: [{rho2.lower:.4f}, {rho2.upper:.4f}]")
 print(f"left-half mass 2/3; empirical fraction of 90000 draws: {frac:.4f}")
-print(f"rejection acceptance rate: {big.acceptance_rate:.3f}")
 
 print()
 print("=== local-average measurements ===")

@@ -187,7 +187,7 @@ def _cmd_samples(args) -> int:
     samples = draw_samples(exp.density, n, m, exp.seed, mode)
     out = args.out or "samples.csv"
     samples.to_csv(out, header_comment=exp.file_header())
-    print(f"wrote {out} ({n * m} points, acceptance rate {samples.acceptance_rate:.3f})")
+    print(f"wrote {out} ({n * m} points)")
     return 0
 
 

@@ -259,7 +259,7 @@ class ResultTable:
                                  r.seed, repr(r.sigma_min), repr(r.condition_number)])
 
 
-def run_table(exp: Experiment, rank_tol: float = 1e-10) -> ResultTable:
+def run_table(exp: Experiment) -> ResultTable:
     """Draw, reconstruct and measure errors for every configured (n, m).
 
     Every error is a norm over the cuboid of the lattice spline of the
@@ -281,7 +281,7 @@ def run_table(exp: Experiment, rank_tol: float = 1e-10) -> ResultTable:
         S = build_sample_matrix(exp.phi, exp.kernel, samples, exp.N)
         values = conv.evaluate(samples.points)
         try:
-            res = solve(S, values, rank_tol)
+            res = solve(S, values)
         except RankDeficientError as exc:
             rows.append(TableRow(n, m, rseed, exc.rank, True, math.nan, math.nan, math.nan,
                                  math.nan, *conditioning(exc.singular_values, exc.columns)))

@@ -542,8 +542,13 @@ def mixed_norm(f: TensorFunction, p: float, q: float, region=None, quad: Quadrat
     return float(outer ** (1.0 / p))
 
 
-def sup_norm(f: TensorFunction, region=None, points_per_piece: int = 33,
-             refine_steps: int = 4) -> float:
+#: Grid points per breakpoint interval, and local refinements of the
+#: winning cell, in sup_norm's search.
+SUP_POINTS_PER_PIECE = 33
+SUP_REFINE_STEPS = 4
+
+
+def sup_norm(f: TensorFunction, region=None) -> float:
     """Max of |f| over a breakpoint-refined grid plus per-piece stationary points.
 
     The winning grid cell is then refined locally a few times, which
@@ -560,7 +565,7 @@ def sup_norm(f: TensorFunction, region=None, points_per_piece: int = 33,
         edges = panel_edges(lo, hi, f.axis_breakpoints(a))
         cands = [edges]
         for s, e in zip(edges[:-1], edges[1:]):
-            cands.append(np.linspace(s, e, points_per_piece))
+            cands.append(np.linspace(s, e, SUP_POINTS_PER_PIECE))
         crit = f.axis_critical_points(a)
         cands.append(crit[(crit >= lo) & (crit <= hi)])
         axes.append(np.unique(np.concatenate(cands)))
@@ -574,7 +579,7 @@ def sup_norm(f: TensorFunction, region=None, points_per_piece: int = 33,
         left = axes[a][max(i - 1, 0)]
         right = axes[a][min(i + 1, len(axes[a]) - 1)]
         spans.append(max(right - center[a], center[a] - left, 1e-12))
-    for _ in range(refine_steps):
+    for _ in range(SUP_REFINE_STEPS):
         local = []
         for a, (lo, hi) in enumerate(box):
             pts = np.linspace(center[a] - spans[a], center[a] + spans[a], 17)

@@ -162,16 +162,6 @@ class PiecewisePoly1D:
             out[inside] = _poly_eval(self.coeffs[piece].T, xs[inside] - self.breakpoints[piece])
         return float(out[0]) if scalar else out
 
-    @property
-    def integral(self) -> float:
-        """Total integral over the support (tail must be zero)."""
-        total = 0.0
-        for i in range(self.num_pieces):
-            h = self.breakpoints[i + 1] - self.breakpoints[i]
-            powers = h ** np.arange(1, self.coeffs.shape[1] + 1)
-            total += float(np.sum(self.coeffs[i] * powers / np.arange(1, self.coeffs.shape[1] + 1)))
-        return total
-
     # -- calculus ------------------------------------------------------
 
     def antiderivative(self) -> "PiecewisePoly1D":
@@ -202,35 +192,8 @@ class PiecewisePoly1D:
 
     def critical_points(self) -> np.ndarray:
         """Interior stationary points: real roots of each piece's derivative."""
-        pts = []
-        dcoeffs = self.derivative().coeffs
-        for i in range(self.num_pieces):
-            c = np.trim_zeros(dcoeffs[i], "b")
-            if len(c) <= 1:
-                continue
-            roots = np.roots(c[::-1])
-            h = self.breakpoints[i + 1] - self.breakpoints[i]
-            for rt in roots:
-                if abs(rt.imag) < 1e-12 and 0.0 < rt.real < h:
-                    pts.append(self.breakpoints[i] + rt.real)
-        return np.asarray(pts)
-
-    def max_abs(self, lo: float | None = None, hi: float | None = None, points_per_piece: int = 41) -> float:
-        """sup |f| over [lo, hi] via breakpoints, stationary points and a dense grid."""
-        a, b = self.support
-        lo = a if lo is None else max(lo, a)
-        hi = b if hi is None else min(hi, b)
-        if hi <= lo:
-            # empty window, or a window entirely right of the support
-            return abs(self.tail) if (self.tail != 0.0 and hi >= b) else 0.0
-        cands = [np.array([lo, hi]), self.critical_points()]
-        edges = np.unique(np.clip(self.breakpoints, lo, hi))
-        cands.append(edges)
-        for s, e in zip(edges[:-1], edges[1:]):
-            cands.append(np.linspace(s, e, points_per_piece))
-        xs = np.concatenate(cands)
-        xs = xs[(xs >= lo) & (xs <= hi)]
-        return float(np.max(np.abs(self(xs)))) if len(xs) else 0.0
+        roots, inside = _real_roots(self.derivative().coeffs, np.diff(self.breakpoints))
+        return (self.breakpoints[:-1, None] + roots)[inside]
 
     # -- transforms ----------------------------------------------------
 

@@ -33,6 +33,13 @@ from .quadrature import QuadratureSpec
 from .sampling import AveragingKernel, Density, SampleSet, abs_integral, convolve, draw_samples
 
 
+#: Numerical rank threshold, relative to a matrix's largest column norm.
+RANK_TOL = 1e-10
+
+#: Largest coefficient error a recovery trial may leave and still succeed.
+RECOVERY_TOL = 1e-9
+
+
 class RankDeficientError(ValueError):
     """Sample matrix is numerically rank deficient; carries the observed rank
     and the singular values of the thin SVD that found it."""
@@ -124,15 +131,15 @@ def build_sample_matrix(phi: GeneratorSet, kernel: AveragingKernel,
     return SampleMatrix(entries, phi, kernel, samples, N, convolved)
 
 
-def _full_rank_svd(entries: np.ndarray, rank_tol: float):
+def _full_rank_svd(entries: np.ndarray):
     """Thin SVD (U, sv, Vt) and numerical rank of one matrix or a stack of them.
 
-    The rank counts singular values above rank_tol times the matrix's
+    The rank counts singular values above RANK_TOL times the matrix's
     largest column norm.  A single matrix below full column rank raises
     RankDeficientError; for a stack the caller reads each matrix's rank.
     """
     U, sv, Vt = np.linalg.svd(entries, full_matrices=False)
-    tol = rank_tol * np.maximum(np.linalg.norm(entries, axis=-2).max(axis=-1), 1e-300)
+    tol = RANK_TOL * np.maximum(np.linalg.norm(entries, axis=-2).max(axis=-1), 1e-300)
     rank = np.sum(sv > tol[..., None], axis=-1)
     if entries.ndim == 2 and rank < entries.shape[1]:
         raise RankDeficientError(int(rank), entries.shape[1], sv)
@@ -155,18 +162,18 @@ class LstsqResult:
     singular_values: np.ndarray
 
 
-def solve(S: SampleMatrix, samples_vec, rank_tol: float = 1e-10) -> LstsqResult:
+def solve(S: SampleMatrix, samples_vec) -> LstsqResult:
     """Minimum-norm least squares through a rank-revealing SVD.
 
-    rank_tol is scaled by the largest column norm; a numerical rank below
-    the column count raises RankDeficientError (the reconstruction
-    identity is not guaranteed there).
+    A numerical rank (see RANK_TOL) below the column count raises
+    RankDeficientError (the reconstruction identity is not guaranteed
+    there).
     """
     b = np.asarray(samples_vec, dtype=float).ravel()
     rows = S.entries.shape[0]
     if b.shape[0] != rows:
         raise ValueError(f"sample vector length {b.shape[0]} != row count {rows}")
-    U, sv, Vt, _ = _full_rank_svd(S.entries, rank_tol)
+    U, sv, Vt, _ = _full_rank_svd(S.entries)
     x = _min_norm_solution(U, sv, Vt, b)
     residual = float(np.linalg.norm(S.entries @ x - b))
     grid = CoefficientGrid.from_flat(x, S.phi.r, S.N, S.phi.d)
@@ -203,9 +210,9 @@ class DualFamily:
         return synthesize(self.phi, grid)
 
 
-def dual_family(S: SampleMatrix, rank_tol: float = 1e-10) -> DualFamily:
+def dual_family(S: SampleMatrix) -> DualFamily:
     """Pseudo-inverse dual family; requires numerically full column rank."""
-    U, sv, Vt, _ = _full_rank_svd(S.entries, rank_tol)
+    U, sv, Vt, _ = _full_rank_svd(S.entries)
     pinv = Vt.T @ np.diag(1.0 / sv) @ U.T
     return DualFamily(pinv, S.phi, S.N, S.samples.n, S.samples.m)
 
@@ -301,10 +308,10 @@ TRIAL_BATCH_BYTES = 64 * 1024
 class TrialSpec:
     """One repeatable draw->sample->test experiment.
 
-    kind: "recovery" tests exact coefficient recovery; "omega_inequality"
-    and "mu_inequality" test the two-sided sampling inequalities with the
-    matching theorem constants (or explicit bound_override = (lower,
-    upper) factors applied to ||f||).
+    kind: "recovery" tests exact coefficient recovery, to RECOVERY_TOL;
+    "omega_inequality" and "mu_inequality" test the two-sided sampling
+    inequalities with the matching theorem constants (or explicit
+    bound_override = (lower, upper) factors applied to ||f||).
     """
 
     kind: str
@@ -323,8 +330,6 @@ class TrialSpec:
     mu: float | None = None
     eta: float | None = None
     params: SpaceParams | None = None
-    recovery_tol: float = 1e-9
-    rank_tol: float = 1e-10
     bound_override: tuple | None = None
 
 
@@ -400,10 +405,10 @@ def empirical_success(spec: TrialSpec, trials: int, seed: int,
         raise ValueError("trials must be >= 1")
     f = synthesize(spec.phi, spec.coeffs)
     conv = convolve(f, spec.kernel)
-    fnorm = mixed_norm(f, spec.p, spec.q)
 
-    lower = upper = None
+    lower = upper = fnorm = None
     if spec.kind in ("omega_inequality", "mu_inequality"):
+        fnorm = mixed_norm(f, spec.p, spec.q)
         if spec.bound_override is not None:
             lower, upper = spec.bound_override
         elif spec.kind == "omega_inequality":
@@ -430,7 +435,7 @@ def empirical_success(spec: TrialSpec, trials: int, seed: int,
         values = conv.evaluate(points).reshape(len(seeds), rows)
         if recovery:
             stack = _sample_entries(convolved, points, spec.N).reshape(len(seeds), rows, cols)
-            U, sv, Vt, ranks = _full_rank_svd(stack, spec.rank_tol)
+            U, sv, Vt, ranks = _full_rank_svd(stack)
         for b, tseed in enumerate(seeds):
             t = start + b
             if not recovery:
@@ -449,7 +454,7 @@ def empirical_success(spec: TrialSpec, trials: int, seed: int,
                 continue
             x = _min_norm_solution(U[b], sv[b], Vt[b], values[b])
             err = float(np.max(np.abs(x - target)))
-            records.append(TrialRecord(t, tseed, err <= spec.recovery_tol, cols, False, err,
+            records.append(TrialRecord(t, tseed, err <= RECOVERY_TOL, cols, False, err,
                                        smin, cond))
 
     if jsonl_path is not None:

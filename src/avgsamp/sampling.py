@@ -137,6 +137,9 @@ class SampleSet:
 
     points holds the nm locations in row-major (j, k) order with shape
     (n*m, d+1).  In separable mode x depends only on j and y only on k.
+    Construction checks that every point lies in the cuboid.
+    acceptance_rate is always 1.0, because every draw of draw_samples is
+    exact; it stays because perfbench/tracing.py reads it.
     """
 
     points: np.ndarray
@@ -145,7 +148,7 @@ class SampleSet:
     mode: str
     seed: int
     density: Density
-    acceptance_rate: float = 1.0
+    acceptance_rate: float = field(default=1.0, init=False)
 
     def __post_init__(self) -> None:
         pts = np.asarray(self.points, dtype=float)
@@ -180,24 +183,24 @@ class SampleSet:
 def draw_samples(rho: Density, n: int, m: int, seed: int, mode: str = "joint") -> SampleSet:
     """Draw sample locations from the density, deterministically in the seed.
 
-    joint: nm independent draws from rho (rejection sampling against the
-    uniform envelope scaled by the upper density bound), indexed by (j, k)
-    pairs.  separable: n independent x draws and m independent y draws
-    combined as a grid; only defined for the uniform density, whose
-    marginals are unambiguous.
+    joint: nm independent exact draws from rho, indexed by (j, k) pairs.
+    Each draw picks a cell by inverse CDF on cell_mass and a uniform
+    position inside it; the in-cell positions are drawn first, so for the
+    uniform density the points are the plain uniform stream of the seed.
+    separable: n independent x draws and m independent y draws combined as
+    a grid; only defined for the uniform density, whose marginals are
+    unambiguous.
     """
     if n < 1 or m < 1:
         raise ValueError("sample counts must be >= 1")
     if mode not in ("joint", "separable"):
         raise ValueError(f"unknown sampling mode {mode!r}")
     rng = np.random.default_rng(seed)
-    box = rho.region.box
-    lo = np.array([b[0] for b in box])
-    hi = np.array([b[1] for b in box])
 
     if mode == "separable":
         if rho.cell_mass.size != 1:
             raise ValueError("separable mode is only defined for the uniform density")
+        lo, hi = np.array(rho.region.box).T
         xs = rng.uniform(lo[0], hi[0], size=n)
         ys = rng.uniform(lo[1:], hi[1:], size=(m, rho.region.d))
         pts = np.concatenate(
@@ -205,23 +208,12 @@ def draw_samples(rho: Density, n: int, m: int, seed: int, mode: str = "joint") -
         )
         return SampleSet(pts, n, m, mode, seed, rho)
 
-    total = n * m
-    accepted = []
-    proposed = 0
-    kept = 0
-    envelope = rho.upper
-    while kept < total:
-        batch = max(64, int(1.2 * (total - kept) * envelope * rho.region.volume))
-        cand = rng.uniform(lo, hi, size=(batch, rho.region.ndim))
-        u = rng.uniform(0.0, 1.0, size=batch)
-        keep = u * envelope < rho.pdf(cand)
-        proposed += batch
-        take = cand[keep]
-        accepted.append(take)
-        kept += len(take)
-    pts = np.concatenate(accepted)[:total]
-    rate = kept / proposed if proposed else 1.0
-    return SampleSet(pts, n, m, "joint", seed, rho, acceptance_rate=rate)
+    pts = rng.random((n * m, rho.region.ndim))
+    cells = rng.choice(rho.cell_mass.size, size=n * m, p=rho.cell_mass.ravel())
+    index = np.unravel_index(cells, rho.cell_mass.shape)
+    for a, (e, i) in enumerate(zip(rho.cell_edges, index)):
+        pts[:, a] = e[i] + (e[i + 1] - e[i]) * pts[:, a]
+    return SampleSet(pts, n, m, "joint", seed, rho)
 
 
 # -- convolution with the averaging kernel ---------------------------------

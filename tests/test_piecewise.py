@@ -218,6 +218,48 @@ class TestAntiderivative:
         np.testing.assert_allclose(F.derivative()(xs), f(xs), atol=1e-12)
 
 
+def per_piece_critical_points(f):
+    """Reference for critical_points: np.roots of each piece's derivative in turn."""
+    pts = []
+    dcoeffs = f.derivative().coeffs
+    for i in range(f.num_pieces):
+        c = np.trim_zeros(dcoeffs[i], "b")
+        if len(c) <= 1:
+            continue
+        h = f.breakpoints[i + 1] - f.breakpoints[i]
+        for rt in np.roots(c[::-1]):
+            if abs(rt.imag) < 1e-12 and 0.0 < rt.real < h:
+                pts.append(f.breakpoints[i] + rt.real)
+    return np.sort(pts)
+
+
+class TestCriticalPoints:
+    def test_interior_peak(self):
+        f = bspline(2).shift_scale(0.3, -2.0)
+        np.testing.assert_array_equal(f.critical_points(), [0.3])
+        assert f(0.3) == pytest.approx(-1.5, abs=1e-12)
+
+    def test_splines_match_per_piece_roots_bitwise(self):
+        funcs = [bspline(n) for n in range(7)] + [bspline(n).convolve_box(-0.125, 0.125)
+                                                  for n in range(1, 4)]
+        funcs += [PiecewisePoly1D.zero(), PiecewisePoly1D.indicator(0.0, 1.0)]
+        for f in funcs:
+            np.testing.assert_array_equal(np.sort(f.critical_points()),
+                                          per_piece_critical_points(f))
+
+    def test_random_pieces_match_per_piece_roots(self):
+        # np.roots strips zero low-order coefficients before its eigenvalue
+        # call, so roots can move in the last bits when some are zero
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            pieces, width = int(rng.integers(1, 6)), int(rng.integers(1, 7))
+            coeffs = rng.normal(size=(pieces, width))
+            coeffs[rng.random(coeffs.shape) < 0.2] = 0.0
+            f = PiecewisePoly1D(np.cumsum(rng.uniform(0.1, 2.0, pieces + 1)), coeffs)
+            np.testing.assert_allclose(np.sort(f.critical_points()),
+                                       per_piece_critical_points(f), rtol=0, atol=1e-12)
+
+
 class TestShiftScale:
     def test_shifted_quadratic_center(self):
         g = bspline(2).shift_scale(1.0, 1.0)
@@ -259,7 +301,3 @@ class TestArithmetic:
             PiecewisePoly1D(np.array([0.0, 0.0, 1.0]), np.zeros((2, 1)))
         with pytest.raises(ValueError):
             PiecewisePoly1D(np.array([0.0, 1.0]), np.zeros((2, 1)))
-
-    def test_max_abs_finds_interior_peak(self):
-        f = bspline(2).shift_scale(0.3, -2.0)
-        assert f.max_abs() == pytest.approx(1.5, abs=1e-12)

@@ -49,6 +49,26 @@ def scalar_abs_poly_integral(coeffs, h):
     return float(np.sum(np.abs(np.diff(vals))))
 
 
+def rejection_points(rho, n, m, seed):
+    """Reference for draw_samples' joint mode: the rejection sampler it replaced.
+
+    Uniform proposals on the cuboid are kept when u * rho.upper < rho.pdf,
+    in batches of max(64, 1.2 x the points still missing x upper x volume).
+    """
+    rng = np.random.default_rng(seed)
+    lo = np.array([b[0] for b in rho.region.box])
+    hi = np.array([b[1] for b in rho.region.box])
+    total, kept, accepted = n * m, 0, []
+    while kept < total:
+        batch = max(64, int(1.2 * (total - kept) * rho.upper * rho.region.volume))
+        cand = rng.uniform(lo, hi, size=(batch, rho.region.ndim))
+        u = rng.uniform(0.0, 1.0, size=batch)
+        take = cand[u * rho.upper < rho.pdf(cand)]
+        accepted.append(take)
+        kept += len(take)
+    return np.concatenate(accepted)[:total]
+
+
 def gauss_box_average(f, center, half, order=40):
     """2-D quadrature oracle for the average of f over a centered box."""
     x, w = leggauss(order)
@@ -137,6 +157,39 @@ class TestDrawSamples:
         se = np.sqrt((2 / 3) * (1 / 3) / n)
         assert abs(frac_left - 2 / 3) < 3 * se
         assert 0 < ss.acceptance_rate <= 1.0
+
+    @pytest.mark.parametrize("region", [Cuboid(2.5, 2.5), Cuboid(1.5, 1.0, 2)],
+                             ids=["d1", "d2"])
+    def test_uniform_draws_match_the_rejection_sampler(self, region):
+        # one cell: the in-cell positions are the whole draw, and they come
+        # first from the seed's stream, as the rejection sampler's proposals did
+        rho = Density.uniform(region)
+        for seed in (0, 7, 12345, 2 ** 40 + 3):
+            for n, m in [(1, 1), (3, 7), (8, 8), (9, 8), (40, 40)]:
+                ss = draw_samples(rho, n, m, seed)
+                assert np.array_equal(ss.points, rejection_points(rho, n, m, seed))
+                assert ss.acceptance_rate == 1.0
+
+    def test_cell_frequencies_and_in_cell_means(self):
+        # the cells of perfbench/configs/pc_density.json
+        edges = [np.array([-3.0, 0.0, 3.0]), np.array([-3.0, -1.0, 1.0, 3.0])]
+        mass = np.array([[0.10, 0.20, 0.10], [0.25, 0.15, 0.20]])
+        rho = Density.piecewise_constant(Cuboid(3, 3), edges, mass)
+        ss = draw_samples(rho, 400, 500, seed=71)
+        assert ss.acceptance_rate == 1.0
+        pts = ss.points
+        total = pts.shape[0]
+        cells = np.stack(rho._cell_index(pts), axis=1)
+        for i in range(mass.shape[0]):
+            for j in range(mass.shape[1]):
+                inside = pts[(cells[:, 0] == i) & (cells[:, 1] == j)]
+                p = mass[i, j]
+                assert abs(len(inside) / total - p) < 4 * np.sqrt(p * (1 - p) / total)
+                for a, k in enumerate((i, j)):
+                    lo, hi = edges[a][k], edges[a][k + 1]
+                    assert np.all((inside[:, a] >= lo) & (inside[:, a] < hi))
+                    se = (hi - lo) / np.sqrt(12.0 * len(inside))
+                    assert abs(inside[:, a].mean() - 0.5 * (lo + hi)) < 4 * se
 
     def test_separable_structure(self):
         rho = Density.uniform(Cuboid(2, 2))

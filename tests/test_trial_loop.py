@@ -24,6 +24,7 @@ from avgsamp.mixed_space import (
     tensor_bspline,
 )
 from avgsamp.reconstruction import (
+    RECOVERY_TOL,
     RankDeficientError,
     TrialRecord,
     TrialSpec,
@@ -54,9 +55,9 @@ def reference_records(spec: TrialSpec, trials: int, seed: int) -> list[TrialReco
             smin = float(sv[-1]) if rows >= cols else 0.0
             cond = float(sv[0]) / smin if smin > 0.0 else math.inf
             try:
-                res = solve(S, values, spec.rank_tol)
+                res = solve(S, values)
                 err = float(np.max(np.abs(res.grid.values - spec.coeffs.values)))
-                rec = TrialRecord(t, tseed, err <= spec.recovery_tol, res.rank, False, err,
+                rec = TrialRecord(t, tseed, err <= RECOVERY_TOL, res.rank, False, err,
                                   smin, cond)
             except RankDeficientError as exc:
                 rec = TrialRecord(t, tseed, False, exc.rank, True, math.inf, smin, cond)
