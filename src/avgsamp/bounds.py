@@ -224,13 +224,48 @@ def _rates(u: float, cs: float, D: float) -> tuple[float, float]:
     return beta1, beta2
 
 
-def _probability(log_a1: float, beta1: float, log_a2: float, beta2: float,
-                 n: int, m: int) -> tuple[float, float, float, float]:
-    """(raw, clamped, log term1, log term2) of 1 - A1 e^{-nm b1} - A2 e^{-nm b2}."""
+def _nm_min(params: SpaceParams, N: float, T: float, W: float) -> float:
+    """Smallest nm at which the uniform tail bound applies at level T, kernel norm W."""
+    return (54.0 * params.r * math.sqrt(2.0) * math.log(2.0)
+            * (2.0 * N + 1.0) ** (params.d + 1) * W / T ** 2) * (2.0 * T + 81.0 * W)
+
+
+def _report(kind: str, params: SpaceParams, cs: float, rates: tuple[float, float],
+            n: int, m: int, constants: dict, flags: dict | None = None,
+            N: float | None = None, level: tuple[float, float] | None = None) -> BoundReport:
+    """A theorem's own constants and flags plus the shared probability tail.
+
+    The tail is 1 - A1 e^{-nm beta1} - A2 e^{-nm beta2} with the amplitudes at
+    shift radius N (params.N by default), reported raw, clamped and as its
+    two log terms.  level = (T, W) adds nm_min at that radius and the flag
+    nm_meets_threshold.
+    """
+    N = params.N if N is None else N
+    beta1, beta2 = rates
+    a1, log_a1, a2, log_a2 = amplitude_constants(params, cs, N)
     t1 = log_a1 - n * m * beta1
     t2 = log_a2 - n * m * beta2
     raw = 1.0 - _safe_exp(t1) - _safe_exp(t2)
-    return raw, min(max(raw, 0.0), 1.0), t1, t2
+    constants = dict(constants, c_star=cs,
+                     A1=a1, log_A1=log_a1, beta1=beta1, A2=a2, log_A2=log_a2, beta2=beta2,
+                     log_term1=t1, log_term2=t2,
+                     probability_raw=raw, probability=min(max(raw, 0.0), 1.0),
+                     n=float(n), m=float(m), nm=float(n * m))
+    flags = dict(flags or {})
+    if level is not None:
+        constants["nm_min"] = _nm_min(params, N, *level)
+        flags["nm_meets_threshold"] = n * m > constants["nm_min"]
+    return BoundReport(kind, params, constants, flags)
+
+
+def _omega_margins(params: SpaceParams, cs: float, gamma: float,
+                   omega: float) -> tuple[float, float]:
+    """(u, T): the rate margin and the deviation level of the omega-class bound."""
+    pq = params.p * params.q
+    W = params.psi_l11
+    u = gamma * params.rho_lower * (omega / (cs * W)) ** pq
+    T = gamma * params.rho_lower * (cs * W) ** (1.0 - pq) * omega ** pq / params.region_factor
+    return u, T
 
 
 def omega_class_report(params: SpaceParams, gamma: float, omega: float,
@@ -250,46 +285,26 @@ def omega_class_report(params: SpaceParams, gamma: float, omega: float,
     cs = c_star(params)
     D = params.region_factor
     pq = p * q
-
-    T = gamma * params.rho_lower * (cs * W) ** (1.0 - pq) * omega ** pq / D
-    nm_min = (54.0 * params.r * math.sqrt(2.0) * math.log(2.0)
-              * (2.0 * params.N + 1.0) ** (d + 1) * W / T ** 2) * (2.0 * T + 81.0 * W)
-
+    u, T = _omega_margins(params, cs, gamma, omega)
     A_go = ((1.0 - gamma) * params.rho_lower * (cs * W) ** (1.0 - pq) * omega ** pq / D
             * n ** (1.0 / p) * m ** (1.0 / q))
     B_go = (params.rho_upper * W
             / ((2.0 * params.K1) ** ((1.0 - p) / p) * (2.0 * params.K2) ** (d * (1.0 - q) / q))
             * n * m + T * n * m)
-
-    u = gamma * params.rho_lower * (omega / (cs * W)) ** pq
-    beta1, beta2 = _rates(u, cs, D)
-    a1, log_a1, a2, log_a2 = amplitude_constants(params, cs)
-    raw, clamped, t1, t2 = _probability(log_a1, beta1, log_a2, beta2, n, m)
-
-    return BoundReport(
-        kind="omega_class",
-        params=params,
-        constants={
-            "c_star": cs,
-            "A_gamma_omega": A_go,
-            "B_gamma_omega": B_go,
-            "A1": a1, "log_A1": log_a1, "beta1": beta1,
-            "A2": a2, "log_A2": log_a2, "beta2": beta2,
-            "nm_min": nm_min, "nm": float(n * m),
-            "log_term1": t1, "log_term2": t2,
-            "probability_raw": raw, "probability": clamped,
-            "gamma": gamma, "omega": omega, "n": float(n), "m": float(m),
-        },
-        flags={"nm_meets_threshold": n * m > nm_min},
-    )
+    return _report("omega_class", params, cs, _rates(u, cs, D), n, m,
+                   {"A_gamma_omega": A_go, "B_gamma_omega": B_go,
+                    "gamma": gamma, "omega": omega},
+                   level=(T, W))
 
 
 def mu_class_report(params: SpaceParams, mu: float, eta: float,
                     n: int, m: int) -> BoundReport:
     """Sampling-inequality constants for the average-mass signal class.
 
-    Frame constants bound the plain sum of |f * psi| over the samples; the
-    probability rates depend only on eta and c*.
+    Frame constants bound the plain sum of |f * psi| over the samples.  The
+    rates are the omega-class rates at margin eta with the region factor D
+    replaced by c*, and nm_min is the omega-class threshold at level eta
+    with unit kernel norm.
     """
     if not 0.0 < mu <= 1.0:
         raise ValueError("mu must lie in (0, 1]")
@@ -298,33 +313,13 @@ def mu_class_report(params: SpaceParams, mu: float, eta: float,
     p, q, d = params.p, params.q, params.d
     W = params.psi_l11
     cs = c_star(params)
-
-    nm_min = (54.0 * params.r * math.sqrt(2.0) * math.log(2.0)
-              * (2.0 * params.N + 1.0) ** (d + 1) / eta) * (2.0 + 81.0 / eta)
     lower = n * m * W * (mu * params.rho_lower - eta)
     upper = n * m * W * (params.rho_upper
                          * (2.0 * params.K1) ** ((p - 1.0) / p)
                          * (2.0 * params.K2) ** (d * (q - 1.0) / q) + eta)
-    beta1 = 3.0 * eta ** 2 / (4.0 * cs * (6.0 * cs + eta))
-    beta2 = eta ** 2 / (18.0 * math.sqrt(2.0) * (81.0 + 2.0 * eta))
-    a1, log_a1, a2, log_a2 = amplitude_constants(params, cs)
-    raw, clamped, t1, t2 = _probability(log_a1, beta1, log_a2, beta2, n, m)
-
-    return BoundReport(
-        kind="mu_class",
-        params=params,
-        constants={
-            "c_star": cs,
-            "lower_constant": lower, "upper_constant": upper,
-            "A1": a1, "log_A1": log_a1, "beta1": beta1,
-            "A2": a2, "log_A2": log_a2, "beta2": beta2,
-            "nm_min": nm_min, "nm": float(n * m),
-            "log_term1": t1, "log_term2": t2,
-            "probability_raw": raw, "probability": clamped,
-            "mu": mu, "eta": eta, "n": float(n), "m": float(m),
-        },
-        flags={"nm_meets_threshold": n * m > nm_min},
-    )
+    return _report("mu_class", params, cs, _rates(eta, cs, cs), n, m,
+                   {"lower_constant": lower, "upper_constant": upper, "mu": mu, "eta": eta},
+                   level=(eta, 1.0))
 
 
 def approximation_radius(K1: float, K2: float, eps: float, params: SpaceParams,
@@ -363,7 +358,8 @@ def concentration_class_report(params: SpaceParams, delta: float, eps: float, ga
 
     The shift radius is not free here: it is forced by the truncation
     lemma at the doubled cuboid, and that radius (a real number, used as
-    given) enters the amplitudes A1, A2.
+    given) enters the amplitudes A1, A2 and nm_min.  Rates and threshold
+    are the omega-class ones at omega = (1 - delta - eps) ||psi||.
     """
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
@@ -395,62 +391,27 @@ def concentration_class_report(params: SpaceParams, delta: float, eps: float, ga
          * n * m
          + eps * params.rho_lower * cs ** (1.0 - pq) * W / D * n ** (1.0 / p) * m ** (1.0 / q))
 
-    # rates and amplitudes as in the omega-class report, at the forced radius
-    u = gamma * params.rho_lower * (omega / (cs * W)) ** pq
-    beta1, beta2 = _rates(u, cs, D)
-    a1, log_a1, a2, log_a2 = amplitude_constants(params, cs, N_real)
-    raw, clamped, t1, t2 = _probability(log_a1, beta1, log_a2, beta2, n, m)
-
-    T = gamma * params.rho_lower * (cs * W) ** (1.0 - pq) * omega ** pq / D
-    nm_min = (54.0 * params.r * math.sqrt(2.0) * math.log(2.0)
-              * (2.0 * N_real + 1.0) ** (d + 1) * W / T ** 2) * (2.0 * T + 81.0 * W)
-
-    return BoundReport(
-        kind="concentration_class",
-        params=params,
-        constants={
-            "c_star": cs,
-            "A": A, "B": B, "omega": omega,
-            "N_required": N_real, "N_required_ceil": float(math.ceil(N_real)),
-            "A1": a1, "log_A1": log_a1, "beta1": beta1,
-            "A2": a2, "log_A2": log_a2, "beta2": beta2,
-            "nm_min": nm_min, "nm": float(n * m),
-            "log_term1": t1, "log_term2": t2,
-            "probability_raw": raw, "probability": clamped,
-            "delta": delta, "eps": eps, "gamma": gamma, "n": float(n), "m": float(m),
-        },
-        flags={"nm_meets_threshold": n * m > nm_min, "lower_constant_positive": A > 0.0},
-    )
+    u, T = _omega_margins(params, cs, gamma, omega)
+    return _report("concentration_class", params, cs, _rates(u, cs, D), n, m,
+                   {"A": A, "B": B, "omega": omega,
+                    "N_required": N_real, "N_required_ceil": float(math.ceil(N_real)),
+                    "delta": delta, "eps": eps, "gamma": gamma},
+                   {"lower_constant_positive": A > 0.0}, N=N_real, level=(T, W))
 
 
 def reconstruction_report(params: SpaceParams, gamma: float, beta_tilde: float,
                           n: int, m: int) -> BoundReport:
+    """Success-probability constants of the reconstruction theorem.
+
+    Its rates are the omega-class rates at margin
+    gamma rho_lower (beta_tilde / (alpha2 c* W))^(pq).
+    """
     if not 0.0 < gamma < 1.0:
         raise ValueError("gamma must lie in (0, 1)")
     if beta_tilde <= 0:
         raise ValueError("beta_tilde must be positive")
-    p, q = params.p, params.q
-    W = params.psi_l11
     cs = c_star(params)
-    D = params.region_factor
-    pq = p * q
-
-    u = gamma * params.rho_lower * (beta_tilde / (params.alpha2 * cs) / W) ** pq
-    beta1, beta2 = _rates(u, cs, D)
-    a1, log_a1, a2, log_a2 = amplitude_constants(params, cs)
-    raw, clamped, t1, t2 = _probability(log_a1, beta1, log_a2, beta2, n, m)
-
-    return BoundReport(
-        kind="reconstruction",
-        params=params,
-        constants={
-            "c_star": cs,
-            "beta_tilde": beta_tilde,
-            "A1": a1, "log_A1": log_a1, "beta1": beta1,
-            "A2": a2, "log_A2": log_a2, "beta2": beta2,
-            "log_term1": t1, "log_term2": t2,
-            "probability_raw": raw, "probability": clamped,
-            "gamma": gamma, "n": float(n), "m": float(m), "nm": float(n * m),
-        },
-        flags={},
-    )
+    u = (gamma * params.rho_lower
+         * (beta_tilde / (params.alpha2 * cs) / params.psi_l11) ** (params.p * params.q))
+    return _report("reconstruction", params, cs, _rates(u, cs, params.region_factor), n, m,
+                   {"beta_tilde": beta_tilde, "gamma": gamma})

@@ -333,46 +333,42 @@ def emit_surface(func: TensorFunction, grid_spec: dict, path, exp: Experiment | 
         raise ValueError(f"unknown surface format {fmt!r}")
 
 
+#: Sweep theorem -> (constants_report selector, trial kind, report keys of the
+#: (lower, upper) factors of ||f|| that the trials test against).
+SWEEP_THEOREMS = {
+    "recovery": ("reconstruction", "recovery", None),
+    "omega": ("omega", "omega_inequality", ("A_gamma_omega", "B_gamma_omega")),
+    "mu": ("mu", "mu_inequality", ("lower_constant", "upper_constant")),
+}
+
+
 def probability_sweep(exp: Experiment, nm_list, trials: int,
                       theorem: str = "recovery", jsonl_dir=None) -> list[dict]:
     """Empirical success fractions versus the theoretical probability bound.
 
     One record per (n, m): the Monte Carlo fraction with its Wilson 95%
-    interval next to the raw and clamped theoretical probabilities.  At
-    desk scale the clamped bounds are typically zero (vacuous); they are
-    reported rather than hidden.  The flags stability_certified and
-    decay_fitted say what the theoretical probability rests on.
+    interval next to the raw and clamped theoretical probabilities.  The
+    theoretical probability and the inequality trials' bounds are those of
+    constants_report at the same (n, m).  At desk scale the clamped bounds
+    are typically zero (vacuous); they are reported rather than hidden.  The
+    flags stability_certified and decay_fitted say what the theoretical
+    probability rests on.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    params = exp.space_params()
-    defaults = exp.sweep_defaults
-    gamma = float(defaults.get("gamma", 0.5))
-    records = []
+    if theorem not in SWEEP_THEOREMS:
+        raise ValueError(f"unknown sweep theorem {theorem!r}")
+    selector, kind, bound_keys = SWEEP_THEOREMS[theorem]
     bt = None
     if theorem == "recovery":
         bt = beta_tilde(exp.phi, exp.kernel, exp.N, exp.p, exp.q, exp.cuboid,
-                        seed=exp.seed, quad=exp.quad)
+                        seed=exp.seed, quad=exp.quad).value
+    records = []
     for n, m in nm_list:
-        if theorem == "recovery":
-            spec = TrialSpec("recovery", exp.phi, exp.kernel, exp.density, exp.signal,
-                             exp.N, n, m, exp.p, exp.q, exp.mode)
-            rep = reconstruction_report(params, gamma, bt.value, n, m)
-        elif theorem == "omega":
-            omega = float(defaults.get("omega", exp.kernel.l11_norm))
-            spec = TrialSpec("omega_inequality", exp.phi, exp.kernel, exp.density,
-                             exp.signal, exp.N, n, m, exp.p, exp.q, exp.mode,
-                             gamma=gamma, omega=omega, params=params)
-            rep = omega_class_report(params, gamma, omega, n, m)
-        elif theorem == "mu":
-            mu = float(defaults.get("mu", 1.0))
-            eta = float(defaults.get("eta", 0.5 * mu * params.rho_lower))
-            spec = TrialSpec("mu_inequality", exp.phi, exp.kernel, exp.density,
-                             exp.signal, exp.N, n, m, exp.p, exp.q, exp.mode,
-                             mu=mu, eta=eta, params=params)
-            rep = mu_class_report(params, mu, eta, n, m)
-        else:
-            raise ValueError(f"unknown sweep theorem {theorem!r}")
+        rep = constants_report(exp, selector, n=n, m=m, beta_tilde=bt)
+        bounds = None if bound_keys is None else tuple(rep[k] for k in bound_keys)
+        spec = TrialSpec(kind, exp.phi, exp.kernel, exp.density, exp.signal,
+                         exp.N, n, m, exp.p, exp.q, exp.mode, bounds=bounds)
         sseed = row_seed(exp.seed, n, m)
         jsonl = None
         if jsonl_dir is not None:

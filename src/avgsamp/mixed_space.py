@@ -52,11 +52,9 @@ class Cuboid:
     def scaled(self, factor: float) -> "Cuboid":
         return Cuboid(factor * self.K1, factor * self.K2, self.d)
 
-    def contains(self, points: np.ndarray, slack: float = 0.0) -> np.ndarray:
+    def contains(self, points: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        lo = np.array([b[0] for b in self.box]) - slack
-        hi = np.array([b[1] for b in self.box]) + slack
-        return np.all((pts >= lo) & (pts <= hi), axis=1)
+        return (np.abs(pts) <= np.array([self.K1] + [self.K2] * self.d)).all(axis=1)
 
 
 def _as_box(region, f: "TensorFunction | None" = None) -> list[tuple[float, float]] | None:

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bounds import SpaceParams, mu_class_report, omega_class_report
 from .mixed_space import (
     DEFAULT_QUAD,
     CoefficientGrid,
@@ -310,8 +309,9 @@ class TrialSpec:
 
     kind: "recovery" tests exact coefficient recovery, to RECOVERY_TOL;
     "omega_inequality" and "mu_inequality" test the two-sided sampling
-    inequalities with the matching theorem constants (or explicit
-    bound_override = (lower, upper) factors applied to ||f||).
+    inequality lower ||f|| <= statistic <= upper ||f|| with
+    bounds = (lower, upper), which those two kinds require (the sweeps take
+    them from the theorem's report, see experiments.probability_sweep).
     """
 
     kind: str
@@ -325,12 +325,7 @@ class TrialSpec:
     p: float = 2.0
     q: float = 2.0
     mode: str = "joint"
-    gamma: float | None = None
-    omega: float | None = None
-    mu: float | None = None
-    eta: float | None = None
-    params: SpaceParams | None = None
-    bound_override: tuple | None = None
+    bounds: tuple | None = None
 
 
 @dataclass
@@ -395,11 +390,14 @@ def empirical_success(spec: TrialSpec, trials: int, seed: int,
     """Repeat the trial, report the success fraction with its Wilson interval.
 
     Rank-deficient draws count as failures and are recorded as such, so
-    the empirical probabilities stay honest.  Per-trial seeds derive from
-    the master seed; identical inputs reproduce identical records.  Each
-    trial draws its own samples; the draws of a batch of trials are then
-    evaluated together and their sample matrices decomposed by one stacked
-    SVD, so memory stays bounded by TRIAL_BATCH_BYTES whatever `trials` is.
+    the empirical probabilities stay honest.  Inequality trials succeed when
+    the statistic lies within spec.bounds times ||f||; they compute no
+    theorem constants themselves, and raise ValueError without spec.bounds.
+    Per-trial seeds derive from the master seed; identical inputs
+    reproduce identical records.  Each trial draws its own samples; the
+    draws of a batch of trials are then evaluated together and their
+    sample matrices decomposed by one stacked SVD, so memory stays bounded
+    by TRIAL_BATCH_BYTES whatever `trials` is.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -408,15 +406,10 @@ def empirical_success(spec: TrialSpec, trials: int, seed: int,
 
     lower = upper = fnorm = None
     if spec.kind in ("omega_inequality", "mu_inequality"):
+        if spec.bounds is None:
+            raise ValueError(f"{spec.kind} trials need bounds = (lower, upper)")
+        lower, upper = spec.bounds
         fnorm = mixed_norm(f, spec.p, spec.q)
-        if spec.bound_override is not None:
-            lower, upper = spec.bound_override
-        elif spec.kind == "omega_inequality":
-            rep = omega_class_report(spec.params, spec.gamma, spec.omega, spec.n, spec.m)
-            lower, upper = rep["A_gamma_omega"], rep["B_gamma_omega"]
-        else:
-            rep = mu_class_report(spec.params, spec.mu, spec.eta, spec.n, spec.m)
-            lower, upper = rep["lower_constant"], rep["upper_constant"]
     elif spec.kind != "recovery":
         raise ValueError(f"unknown trial kind {spec.kind!r}")
 

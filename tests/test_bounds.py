@@ -453,6 +453,57 @@ class TestReconstructionProbability:
             reconstruction_report(base_params(), 1.0, 0.1, 5, 5)
 
 
+TAIL_KEYS = {"c_star", "A1", "log_A1", "beta1", "A2", "log_A2", "beta2",
+             "log_term1", "log_term2", "probability_raw", "probability", "n", "m", "nm"}
+
+# each report's own constants and flags next to the shared tail block
+REPORT_KINDS = {
+    "omega_class": (lambda P, n, m: omega_class_report(P, 0.5, 0.0625, n, m),
+                    {"A_gamma_omega", "B_gamma_omega", "gamma", "omega", "nm_min"},
+                    {"nm_meets_threshold"}),
+    "mu_class": (lambda P, n, m: mu_class_report(P, 1.0, 0.02, n, m),
+                 {"lower_constant", "upper_constant", "mu", "eta", "nm_min"},
+                 {"nm_meets_threshold"}),
+    "concentration_class": (lambda P, n, m: concentration_class_report(P, 0.1, 0.05, 0.1, n, m),
+                            {"A", "B", "omega", "N_required", "N_required_ceil",
+                             "delta", "eps", "gamma", "nm_min"},
+                            {"nm_meets_threshold", "lower_constant_positive"}),
+    "reconstruction": (lambda P, n, m: reconstruction_report(P, 0.5, 0.05, n, m),
+                       {"beta_tilde", "gamma"}, set()),
+}
+
+
+class TestSharedTail:
+    """The probability tail 1 - A1 e^{-nm beta1} - A2 e^{-nm beta2} of every report."""
+
+    @pytest.mark.parametrize("kind", sorted(REPORT_KINDS))
+    @pytest.mark.parametrize("n", [5, 10 ** 9])
+    def test_keys_log_terms_and_clamping(self, kind, n):
+        make, own, flags = REPORT_KINDS[kind]
+        rep = make(base_params(s1=3.0, s2=3.0), n, n + 1)
+        assert rep.kind == kind
+        assert set(rep.constants) == TAIL_KEYS | own
+        assert set(rep.flags) == flags
+        nm = float(n * (n + 1))
+        assert (rep["n"], rep["m"], rep["nm"]) == (float(n), float(n + 1), nm)
+        for i in ("1", "2"):
+            assert rep["log_term" + i] == rep["log_A" + i] - nm * rep["beta" + i]
+        with np.errstate(over="ignore"):
+            raw = 1.0 - np.exp(rep["log_term1"]) - np.exp(rep["log_term2"])
+        assert rep["probability_raw"] == pytest.approx(raw, rel=1e-14)
+        assert rep["probability"] == min(max(rep["probability_raw"], 0.0), 1.0)
+        if "nm_min" in own:
+            assert rep.flags["nm_meets_threshold"] == (nm > rep["nm_min"])
+
+    def test_cases_cover_vacuous_overflowing_and_near_one(self):
+        raws = {kind: [make(base_params(s1=3.0, s2=3.0), n, n + 1)["probability_raw"]
+                       for n in (5, 10 ** 9)]
+                for kind, (make, _, _) in REPORT_KINDS.items()}
+        assert all(small < 0.0 for small, _ in raws.values())
+        assert raws["concentration_class"][0] == -math.inf
+        assert raws["omega_class"][1] == pytest.approx(1.0)
+
+
 class TestSpaceParams:
     def test_decay_floor(self):
         with pytest.raises(ValueError):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.special import zeta
 
+from avgsamp import experiments
 from avgsamp.cli import main
 from avgsamp.experiments import (
     ConfigError,
@@ -330,6 +331,36 @@ class TestProbabilitySweep:
         records = probability_sweep(quadratic_benchmark, [(7, 7)], trials=20,
                                     theorem="omega")
         assert records[0]["fraction"] >= 0.9
+
+
+    @pytest.mark.parametrize("theorem, selector, bound_keys", [
+        ("recovery", "reconstruction", None),
+        ("omega", "omega", ("A_gamma_omega", "B_gamma_omega")),
+        ("mu", "mu", ("lower_constant", "upper_constant")),
+    ])
+    def test_sweep_agrees_with_constants_report(self, linear_benchmark, monkeypatch,
+                                                theorem, selector, bound_keys):
+        specs = []
+        real = experiments.empirical_success
+
+        def spy(spec, *args):
+            specs.append(spec)
+            return real(spec, *args)
+
+        monkeypatch.setattr(experiments, "empirical_success", spy)
+        sizes = [(5, 5), (6, 9)]
+        records = probability_sweep(linear_benchmark, sizes, trials=3, theorem=theorem)
+        for rec, spec, (n, m) in zip(records, specs, sizes):
+            rep = constants_report(linear_benchmark, selector, n=n, m=m)
+            assert rec["probability_raw"] == rep["probability_raw"]
+            assert rec["probability"] == rep["probability"]
+            want = None if bound_keys is None else tuple(rep[k] for k in bound_keys)
+            assert spec.bounds == want
+        assert len(specs) == len(sizes)
+
+    def test_unknown_theorem(self, linear_benchmark):
+        with pytest.raises(ValueError, match="unknown sweep theorem"):
+            probability_sweep(linear_benchmark, [(5, 5)], trials=1, theorem="thm")
 
 
 class TestConstantsReport:

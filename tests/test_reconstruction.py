@@ -285,9 +285,16 @@ class TestEmpiricalSuccess:
     def test_vacuous_bounds_give_fraction_one(self, quadratic_setup):
         ck, rho, kernel, phi, coeffs = quadratic_setup
         spec = TrialSpec("omega_inequality", phi, kernel, rho, coeffs, 2, 4, 4,
-                         bound_override=(0.0, np.inf))
+                         bounds=(0.0, np.inf))
         summary = empirical_success(spec, trials=10, seed=50)
         assert summary.fraction == 1.0
+
+    @pytest.mark.parametrize("kind", ["omega_inequality", "mu_inequality"])
+    def test_inequality_trials_require_bounds(self, quadratic_setup, kind):
+        ck, rho, kernel, phi, coeffs = quadratic_setup
+        spec = TrialSpec(kind, phi, kernel, rho, coeffs, 2, 4, 4)
+        with pytest.raises(ValueError, match="bounds"):
+            empirical_success(spec, trials=2, seed=50)
 
     def test_fraction_bracketed_by_interval(self, quadratic_setup):
         ck, rho, kernel, phi, coeffs = quadratic_setup

@@ -41,7 +41,7 @@ def reference_records(spec: TrialSpec, trials: int, seed: int) -> list[TrialReco
     f = synthesize(spec.phi, spec.coeffs)
     conv = convolve(f, spec.kernel)
     fnorm = mixed_norm(f, spec.p, spec.q)
-    lower, upper = spec.bound_override or (None, None)
+    lower, upper = spec.bounds or (None, None)
     trial_seeds = np.random.SeedSequence(seed).generate_state(trials, dtype=np.uint64)
     records = []
     for t in range(trials):
@@ -88,7 +88,7 @@ def setup():
 def spec_for(setup, kind, density="uniform", mode="joint", n=5, m=5, bounds=None):
     _, kernel, phi, coeffs, rho = setup
     return TrialSpec(kind, phi, kernel, rho[density], coeffs, 2, n, m, mode=mode,
-                     bound_override=bounds)
+                     bounds=bounds)
 
 
 def assert_same(spec, trials, seed):
