@@ -26,7 +26,7 @@ params = SpaceParams(p=2.0, q=2.0, d=1, r=1, N=2, K1=2.5, K2=2.5,
 
 print("=== decay-series constants ===")
 print(f"c*  = {c_star(params):.8f}")
-print(f"c'  = {c_prime(params):.8f}")
+print(f"c'  = {c_prime(params):.8f} (the same formula as c*: c' = c*)")
 val, logv = covering_bound(params.N, 0.5, params.r, params.d, c_prime(params))
 print(f"covering bound at eps=0.5: exp({logv:.2f}) = {val:.3e}")
 

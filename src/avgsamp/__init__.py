@@ -13,7 +13,6 @@ from .mixed_space import (
     box_function,
     decay_constant,
     estimate_stability,
-    integral,
     lp_norm_1d,
     lpq_norm,
     mixed_norm,
@@ -29,7 +28,6 @@ from .sampling import (
     SampleSet,
     abs_integral,
     average_sample,
-    average_samples,
     convolve,
     draw_samples,
 )

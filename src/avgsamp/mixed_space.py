@@ -11,7 +11,6 @@ piecewise-polynomial integrands are handled near exactly.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import reduce
 
@@ -342,11 +341,6 @@ class CoefficientGrid:
     def set(self, i: int, k, value: float) -> None:
         self.values[(i, *self._slot(k))] = value
 
-    def shifts(self) -> list[tuple[int, ...]]:
-        """All shift multi-indices in column order (k1 outer, k2 lexicographic)."""
-        rng = range(-self.N, self.N + 1)
-        return [tuple(k) for k in itertools.product(rng, repeat=self.d + 1)]
-
     def flatten(self) -> np.ndarray:
         return self.values.reshape(-1)
 
@@ -377,19 +371,6 @@ class CoefficientGrid:
         return CoefficientGrid(self.values * float(scalar), self.N)
 
     __rmul__ = __mul__
-
-    def to_csv(self, path, header_comment: str | None = None) -> None:
-        """One row per entry: generator, k1, k2 components, value."""
-        import csv
-
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            if header_comment:
-                fh.write(f"# {header_comment}\n")
-            writer = csv.writer(fh)
-            writer.writerow(["generator", "k1"] + [f"k2_{a+1}" for a in range(self.d)] + ["value"])
-            for i in range(self.r):
-                for k in self.shifts():
-                    writer.writerow([i, *k, repr(self.get(i, k))])
 
 
 def random_unit_grid(r: int, N: int, d: int, p: float, q: float, rng: np.random.Generator) -> CoefficientGrid:
@@ -588,20 +569,6 @@ def sup_norm(f: TensorFunction, region=None) -> float:
         center = [local[a][i] for a, i in enumerate(li)]
         spans = [s / 8.0 for s in spans]
     return best
-
-
-def integral(f: TensorFunction, region=None, quad: QuadratureSpec = DEFAULT_QUAD) -> float:
-    """Plain integral of f over the region (exact for aligned panels)."""
-    if f.is_zero:
-        return 0.0
-    box = _clip_box(f, region)
-    if box is None:
-        return 0.0
-    rules = _axis_rules(f, box, quad)
-    vals = f.evaluate_grid([r[0] for r in rules])
-    for _, w in rules[::-1]:
-        vals = vals @ w
-    return float(vals)
 
 
 def lp_norm_1d(f: PiecewisePoly1D, p: float, interval=None, quad: QuadratureSpec = DEFAULT_QUAD) -> float:

@@ -80,25 +80,6 @@ class SampleMatrix:
     def shape(self) -> tuple[int, int]:
         return self.entries.shape
 
-    def column_labels(self) -> list[str]:
-        grid = CoefficientGrid.zeros(self.phi.r, self.N, self.phi.d)
-        return [f"g{i}_" + "_".join(str(v) for v in k)
-                for i in range(self.phi.r) for k in grid.shifts()]
-
-    def to_csv(self, path, header_comment: str | None = None) -> None:
-        """Rows are sample pairs (j, k); one column per basis shift."""
-        import csv
-
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            if header_comment:
-                fh.write(f"# {header_comment}\n")
-            writer = csv.writer(fh)
-            writer.writerow(["j", "k"] + self.column_labels())
-            for j in range(self.samples.n):
-                for k in range(self.samples.m):
-                    row = self.entries[j * self.samples.m + k]
-                    writer.writerow([j + 1, k + 1] + [repr(float(v)) for v in row])
-
 
 def _shifted_values(f: TensorFunction, points: np.ndarray, N: int) -> np.ndarray:
     """Values of f(. - k) for every lattice shift |k| <= N; shape (P, (2N+1)^ndim)."""

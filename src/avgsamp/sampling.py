@@ -254,11 +254,6 @@ def average_sample(f: TensorFunction, kernel: AveragingKernel, point) -> float:
     return convolve(f, kernel).evaluate(np.asarray(point, dtype=float))
 
 
-def average_samples(conv: TensorFunction, samples: SampleSet) -> np.ndarray:
-    """(f * psi) at every sample location, shaped (n, m); conv = convolve(f, kernel)."""
-    return conv.evaluate(samples.points).reshape(samples.n, samples.m)
-
-
 # -- absolute integrals and the centered statistic -------------------------
 
 

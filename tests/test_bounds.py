@@ -45,7 +45,11 @@ def series_oracle_1d(exponent, terms=2_000_000):
 
 
 def shell_loop(exponent, dim, tol=1e-10):
-    """The shell-by-shell Python loop that the block sum replaced: (sum, shells)."""
+    """The truncated shell-by-shell loop that the closed form replaced: (sum, shells).
+
+    It stops once an integral bound puts the neglected tail below tol, so the
+    exact sum lies in [sum, sum + tol] up to rounding.
+    """
     total, s = 1.0, 1
     while True:
         total += ((2 * s + 1) ** dim - (2 * s - 1) ** dim) * (1.0 + s) ** (-exponent)
@@ -54,12 +58,20 @@ def shell_loop(exponent, dim, tol=1e-10):
         s += 1
 
 
+def zeta_closed_form(exponent, dim):
+    """1 + sum_j a_j zeta(exponent - j, 2), where sum_j a_j t^j = (2t-1)^dim - (2t-3)^dim
+    counts the max-norm shell |k| = t - 1 of Z^dim."""
+    a = [math.comb(dim, j) * 2 ** j * ((-1) ** (dim - j) - (-3) ** (dim - j)) for j in range(dim)]
+    return 1.0 + sum(a[j] * zeta(exponent - j, 2) for j in range(dim))
+
+
 class TestSeries:
     @pytest.mark.parametrize("e, dim", [(3.0, 1), (4.0, 2), (7.0, 3)])
     def test_block_sum_matches_shell_loop(self, e, dim):
         ref, shells = shell_loop(e, dim)
         # recursive summation of that many terms errs by at most shells * eps * sum
-        assert abs(lattice_decay_sum(e, dim) - ref) <= shells * np.finfo(float).eps * ref
+        slack = shells * np.finfo(float).eps * ref
+        assert ref - slack <= lattice_decay_sum(e, dim) <= ref + 1e-10 + slack
 
     def test_one_dimensional_sum_matches_zeta(self):
         # sum over Z of (1+|k|)^-4 = 2 zeta(4) - 1
@@ -81,11 +93,13 @@ class TestSeries:
         brute = np.sum((1.0 + np.maximum(np.abs(K1), np.abs(K2))) ** (-e))
         assert val == pytest.approx(brute, abs=1e-6)
 
-    @pytest.mark.parametrize("e, dim", [(3.0, 1), (4.0, 1), (4.0, 2), (6.0, 2)])
+    @pytest.mark.parametrize("e, dim", sorted(
+        {(3.0, 1), (4.0, 1), (4.0, 2)}
+        | {(e, dim) for dim in (1, 2, 3) for e in (dim + 0.05, dim + 0.5, dim + 1.0, 6.0, 12.0)}))
     def test_matches_zeta_closed_forms(self, e, dim):
-        # over Z^2 the shell |k| = s holds 8 s points
-        want = 2.0 * zeta(e) - 1.0 if dim == 1 else 1.0 + 8.0 * (zeta(e - 1.0) - zeta(e))
-        assert lattice_decay_sum(e, dim) == pytest.approx(want, rel=1e-10, abs=0.0)
+        want = zeta_closed_form(e, dim)
+        eps = np.finfo(float).eps
+        assert want * (1 - 4 * eps) <= lattice_decay_sum(e, dim) <= want * (1 + 1e-14)
 
     def test_divergent_exponent_rejected(self):
         with pytest.raises(ValueError):
@@ -133,12 +147,14 @@ class TestCPrime:
             0.25 * c_prime(base_params()), rel=1e-12)
 
     def test_conjugate_exponents_against_direct_formula(self):
-        P = base_params(p=3.0, q=2.0, s1=2.0, s2=2.0)
-        pc, qc = 1.5, 2.0
-        oracle = (2.0 ** (1 / pc + 1 / qc)
-                  * lattice_decay_sum(P.s1 * pc, 1) ** (1 / pc)
-                  * lattice_decay_sum(P.s2 * qc, 1) ** (1 / qc))
-        assert c_prime(P) == pytest.approx(oracle, rel=1e-12)
+        for p, q, d, s1, s2 in [(3.0, 2.0, 1, 2.0, 2.0), (2.0, 2.0, 2, 2.0, 2.5),
+                                (1.5, 4.0, 2, 2.2, 1.9), (3.0, 1.5, 3, 3.0, 2.5)]:
+            P = base_params(p=p, q=q, d=d, s1=s1, s2=s2)
+            pc, qc = p / (p - 1), q / (q - 1)
+            oracle = (2.0 ** (1 / pc + 1 / qc)
+                      * lattice_decay_sum(P.s1 * pc, 1) ** (1 / pc)
+                      * lattice_decay_sum(P.s2 * qc, d) ** (1 / qc))
+            assert c_prime(P) == pytest.approx(oracle, rel=1e-12), (p, q, d)
 
 
 class TestCoveringBound:

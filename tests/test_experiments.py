@@ -2,12 +2,14 @@
 
 import json
 import math
+import time
 
 import numpy as np
 import pytest
 from scipy.special import zeta
 
 from avgsamp import experiments
+from avgsamp.bounds import lattice_decay_sum
 from avgsamp.cli import main
 from avgsamp.experiments import (
     ConfigError,
@@ -381,6 +383,22 @@ class TestConstantsReport:
         cfg["generators"]["stability"] = {"alpha1": 1.0, "alpha2": 1.0}
         rep = constants_report(build_experiment(cfg), "omega")
         assert rep["c_star"] == pytest.approx(2.0 * (2.0 * zeta(4, 1) - 1.0), abs=1e-8)
+
+    def test_near_floor_decay_finishes(self, config_dir):
+        # s1 = s2 = 1.1 is valid (the floor is 1); a truncated shell sum needs ~1e9 shells here
+        raw = json.loads((config_dir / "quadratic_bspline.json").read_text(encoding="utf-8"))
+        raw["generators"]["decay"].update(s1=1.1, s2=1.1)
+        exp = build_experiment(raw)
+        start = time.perf_counter()
+        reps = [constants_report(exp, s) for s in ("omega", "mu", "concentrated", "reconstruction")]
+        for d in (1, 2, 3):
+            lattice_decay_sum(d + 0.05, d)
+        assert time.perf_counter() - start < 2.0
+        P = exp.space_params()
+        series = 2.0 * zeta(2.2) - 1.0  # both exponents are 1.1 * 2 over Z
+        want = 4.0 * P.decay_c / (2.0 * P.alpha1) * series
+        for rep in reps:
+            assert rep["c_star"] == pytest.approx(want, rel=1e-13)
 
     def test_reconstruction_selector(self, quadratic_benchmark):
         rep = constants_report(quadratic_benchmark, "reconstruction")

@@ -1,13 +1,18 @@
-"""Every name a package module imports is used in that module.
+"""Every name a package module imports is used, and no internal name is orphaned.
 
 Deleting a code path easily leaves a stale ``from .module import name``
 behind.  Each ``src/avgsamp/*.py`` file is parsed with ``ast``; an imported
 name counts as used when it appears as a name anywhere in the module,
 string annotations included.  ``__init__.py`` only re-exports, so it is
 exempt.
+
+It can also leave a tolerance or helper behind: a module-level private
+name (``_x``) or UPPER_CASE constant counts as orphaned when no package
+module loads it, by name or as an attribute.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -61,3 +66,46 @@ def test_detects_an_unused_import():
                      "def f(x: 'SpaceParams') -> float:\n    return math.pi\n")
     used = used_names(tree)
     assert {n for n in imported_names(tree) if n not in used} == {"c_star"}
+
+
+INTERNAL = re.compile(r"_(?!_)\w*|[A-Z][A-Z0-9_]*")  # _private or UPPER_CASE, not __dunder__
+
+
+def internal_definitions(tree: ast.Module) -> dict[str, int]:
+    """Module-level private or UPPER_CASE name -> line of its definition."""
+    names = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        names.update({n: node.lineno for n in found if INTERNAL.fullmatch(n)})
+    return names
+
+
+def loaded_names(tree: ast.Module) -> set[str]:
+    return ({n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            | {n.attr for n in ast.walk(tree)
+               if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)})
+
+
+def orphaned(trees: dict[str, ast.Module]) -> dict[str, int]:
+    loaded = set().union(*(loaded_names(t) for t in trees.values()))
+    return {f"{name}:{n}": line for name, tree in trees.items()
+            for n, line in internal_definitions(tree).items() if n not in loaded}
+
+
+def test_no_orphaned_internal_names():
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in PACKAGE.glob("*.py")}
+    found = orphaned(trees)
+    assert not found, f"defined but never loaded: {found}"
+
+
+def test_detects_an_orphaned_name():
+    a = ast.parse("LOG_MAX = 709.0\nSERIES_BLOCK = 1 << 16\n_cache = {}\n"
+                  "def _helper():\n    return LOG_MAX\ndef public():\n    pass\n")
+    b = ast.parse("from . import a\nx = a._helper()\n")
+    assert set(orphaned({"a.py": a, "b.py": b})) == {"a.py:SERIES_BLOCK", "a.py:_cache"}

@@ -13,7 +13,6 @@ from avgsamp.mixed_space import (
     box_function,
     decay_constant,
     estimate_stability,
-    integral,
     lp_norm_1d,
     lpq_norm,
     mixed_norm,
@@ -352,10 +351,6 @@ class TestGeneratorSet:
 
 
 class TestHelpers:
-    def test_integral_linear(self):
-        f = two_term_signal()
-        assert integral(f) == pytest.approx(-2.0, abs=1e-12)
-
     def test_lp_norm_1d_box(self):
         f = bspline(0)
         assert lp_norm_1d(f, 3.0) == pytest.approx(1.0, rel=1e-12)

@@ -332,35 +332,6 @@ class TestEmpiricalSuccess:
         assert [r.error for r in a.records] == [r.error for r in b.records]
 
 
-class TestSerialization:
-    def test_sample_matrix_csv(self, quadratic_setup, tmp_path):
-        ck, rho, kernel, phi, _ = quadratic_setup
-        samples = draw_samples(rho, 2, 3, seed=70)
-        S = build_sample_matrix(phi, kernel, samples, 1)
-        path = tmp_path / "matrix.csv"
-        S.to_csv(path, header_comment="seed=70")
-        lines = path.read_text().splitlines()
-        assert lines[0] == "# seed=70"
-        header = lines[1].split(",")
-        assert header[:2] == ["j", "k"]
-        assert len(header) == 2 + 9
-        assert header[2] == "g0_-1_-1"
-        assert len(lines) == 2 + 6
-        row = lines[2].split(",")
-        assert float(row[2]) == S.entries[0, 0]
-
-    def test_grid_csv(self, quadratic_setup, tmp_path):
-        ck, rho, kernel, phi, coeffs = quadratic_setup
-        path = tmp_path / "grid.csv"
-        coeffs.to_csv(path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "generator,k1,k2_1,value"
-        assert len(lines) == 1 + 25
-        values = {tuple(l.split(",")[:3]): float(l.split(",")[3]) for l in lines[1:]}
-        assert values[("0", "0", "1")] == 3.0
-        assert values[("0", "-1", "0")] == -5.0
-
-
 class TestWilson:
     def test_known_values(self):
         lo, hi = wilson_interval(8, 10)

@@ -27,7 +27,6 @@ from avgsamp.sampling import (
     _abs_segment_integrals,
     abs_integral,
     average_sample,
-    average_samples,
     convolve,
     draw_samples,
 )
@@ -302,17 +301,6 @@ class TestAverageSample:
         ours = average_sample(f, kernel, (0.0, 1.0))
         oracle = gauss_box_average(f, (0.0, 1.0), 0.125)
         assert ours == pytest.approx(oracle, abs=1e-10)
-
-    def test_batch_matches_single(self, benchmark_setup):
-        ck, rho, kernel, f = benchmark_setup
-        ss = draw_samples(rho, 3, 4, seed=6)
-        conv = convolve(f, kernel)
-        batch = average_samples(conv, ss)
-        assert batch.shape == (3, 4)
-        for j in range(3):
-            for k in range(4):
-                assert batch[j, k] == pytest.approx(
-                    average_sample(f, kernel, ss.point(j + 1, k + 1)), abs=1e-14)
 
 
 class TestCenteredStatistic:
