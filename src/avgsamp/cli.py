@@ -20,7 +20,7 @@ from .experiments import (
     run_table,
 )
 from .reconstruction import RankDeficientError, build_sample_matrix, solve
-from .mixed_space import synthesize
+from .mixed_space import LatticeSpline
 from .sampling import draw_samples
 
 CSV_DOC = """\
@@ -124,7 +124,7 @@ def _cmd_surface(args) -> int:
         S = build_sample_matrix(exp.phi, exp.kernel, samples, exp.N)
         try:
             res = solve(S, exp.conv.evaluate(samples.points))
-            recon = synthesize(exp.phi, res.grid)
+            recon = LatticeSpline(exp.phi, res.grid)
             path = f"{stem}.recon.{ext}"
             emit_surface(recon, grid_spec, path, exp, args.format)
             wrote.append(path)

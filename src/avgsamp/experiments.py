@@ -195,15 +195,19 @@ def build_experiment(raw: dict, seed_override: int | None = None) -> Experiment:
     phi.check_exponents(p, q)
 
     _require("signal" in raw and len(raw["signal"]) >= 1, "signal coefficients are required")
-    signal = CoefficientGrid.from_entries(
-        phi.r, N, d,
-        [(int(t["generator"]), [int(k) for k in t["k"]], float(t["weight"])) for t in raw["signal"]],
-    )
+    entries = [(int(t["generator"]), [int(k) for k in t["k"]], float(t["weight"])) for t in raw["signal"]]
+    for i, k, _ in entries:
+        _require(0 <= i < phi.r, f"signal generator {i} must lie in [0, {phi.r - 1}]")
+        _require(len(k) == d + 1 and all(abs(v) <= N for v in k),
+                 f"signal shift {k} must have d+1 = {d + 1} entries in [-N, N] = [-{N}, {N}]")
+    signal = CoefficientGrid.from_entries(phi.r, N, d, entries)
 
     smp = raw.get("samples", {})
     sizes = [(int(n), int(m)) for n, m in smp.get("sizes", [[5, 5]])]
     _require(all(n >= 1 and m >= 1 for n, m in sizes), "sample sizes must be positive")
     mode = smp.get("mode", "joint")
+    _require(mode in ("joint", "separable"), f"samples.mode must be joint or separable, got {mode!r}")
+    _require(mode == "joint" or density.cell_mass.size == 1, "samples.mode separable needs the uniform density")
 
     return Experiment(
         raw=raw, seed=seed, p=p, q=q, d=d, N=N, cuboid=cuboid, phi=phi,
@@ -264,11 +268,12 @@ def run_table(exp: Experiment) -> ResultTable:
 
     Every error is a norm over the cuboid of the lattice spline of the
     coefficient error delta = c - c_hat, which is f minus the
-    reconstruction: the sup error by sup_norm on a LatticeSpline (the same
-    candidate grid and refine steps as for an expanded function), the L2
-    error exactly as sqrt(delta^T G delta) with G the shift Gram over the
-    cuboid, and the L1 error by abs_integral.  Every row also carries the
-    sample matrix's smallest singular value and condition number.
+    reconstruction, kept as one LatticeSpline and never expanded: the sup
+    error is sup_norm's certified upper end and the L1 error abs_integral,
+    both read from its cell form, and the L2 error is exact as
+    sqrt(delta^T G delta) with G the shift Gram over the cuboid.  Every
+    row also carries the sample matrix's smallest singular value and
+    condition number.
     Rank-deficient draws are recorded with the observed rank, those two
     values and empty error fields; they are reported, never retried.
     """
@@ -288,15 +293,16 @@ def run_table(exp: Experiment) -> ResultTable:
             continue
         delta = CoefficientGrid(exp.signal.values - res.grid.values, exp.N)
         flat = delta.flatten()
-        sup = sup_norm(LatticeSpline(exp.phi, delta), exp.cuboid)
-        l1 = abs_integral(synthesize(exp.phi, delta), exp.cuboid, exp.quad)
+        spline = LatticeSpline(exp.phi, delta)
+        sup = sup_norm(spline, exp.cuboid)
+        l1 = abs_integral(spline, exp.cuboid, exp.quad)
         l2 = math.sqrt(max(float(flat @ gram @ flat), 0.0))
         rows.append(TableRow(n, m, rseed, res.rank, False, sup, l1, l2, res.residual,
                              *conditioning(res.singular_values, delta.size)))
     return ResultTable(rows, exp.hash, exp.seed)
 
 
-def emit_surface(func: TensorFunction, grid_spec: dict, path, exp: Experiment | None = None,
+def emit_surface(func: TensorFunction | LatticeSpline, grid_spec: dict, path, exp: Experiment | None = None,
                  fmt: str = "csv") -> None:
     """Write the function on a regular grid as (x, y, value) rows.
 

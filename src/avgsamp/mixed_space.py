@@ -11,6 +11,7 @@ piecewise-polynomial integrands are handled near exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import reduce
 
@@ -112,12 +113,6 @@ class TensorFunction:
         if self.is_zero:
             return np.empty(0)
         return np.unique(np.concatenate([fs[axis].breakpoints for _, fs in self.terms]))
-
-    def axis_critical_points(self, axis: int) -> np.ndarray:
-        """Interior stationary points of every term's factor on one axis."""
-        if self.is_zero:
-            return np.empty(0)
-        return np.concatenate([fs[axis].critical_points() for _, fs in self.terms])
 
     # -- evaluation -------------------------------------------------------
 
@@ -331,6 +326,8 @@ class CoefficientGrid:
 
     def _slot(self, k) -> tuple[int, ...]:
         k = np.atleast_1d(np.asarray(k, dtype=int))
+        if k.shape != (self.values.ndim - 1,):
+            raise ValueError(f"shift {k} needs {self.values.ndim - 1} entries")
         if np.any(np.abs(k) > self.N):
             raise IndexError(f"shift {k} outside [-N, N] with N={self.N}")
         return tuple(k + self.N)
@@ -401,13 +398,14 @@ def synthesize(generators, c: CoefficientGrid) -> TensorFunction:
 class LatticeSpline:
     """Sum_i sum_{|k| <= N} c_i(k) phi_i(. - k), kept as generators plus coefficients.
 
-    The same function synthesize expands into one term per coefficient.
-    Here a tensor grid is evaluated by contracting each generator term's
-    coefficient block, axis by axis, with the shift matrices
-    factor(nodes - k) (mode-n products), so the cost grows with the grid
-    plus the coefficients, not with their product.  Support, breakpoints
-    and critical points are those of the shifts with a nonzero
-    coefficient, as for the expanded function.
+    synthesize expands the same function into one term per coefficient.
+    Here each generator term's coefficient block is contracted axis by axis
+    with a matrix over the shifts k (mode-n products): factor(nodes - k) in
+    evaluate_grid, the local piece coefficients of factor(. - k) on every
+    cell in cells (the cell form).  The cost grows with the output plus the
+    coefficients, not with their product.  A TensorFunction is the N = 0
+    lattice of itself (LatticeSpline.of).  Support and breakpoints are
+    those of the shifts with a nonzero coefficient.
     """
 
     def __init__(self, generators, c: CoefficientGrid):
@@ -423,6 +421,11 @@ class LatticeSpline:
             shifts = [np.flatnonzero(nonzero.any(axis=tuple(b for b in range(self.ndim) if b != a)))
                       - float(c.N) for a in range(self.ndim)]
             self._parts.append((phi, block, shifts))
+
+    @classmethod
+    def of(cls, f) -> "LatticeSpline":
+        """f itself if it is a LatticeSpline; a TensorFunction as its own N = 0 lattice."""
+        return f if isinstance(f, cls) else cls((f,), CoefficientGrid(np.ones((1,) * (f.ndim + 1)), 0))
 
     @property
     def is_zero(self) -> bool:
@@ -447,43 +450,56 @@ class LatticeSpline:
             return np.empty(0)
         return np.unique(np.concatenate(self._shifted(axis, lambda g: g.breakpoints)))
 
-    def axis_critical_points(self, axis: int) -> np.ndarray:
-        """Stationary points of each distinct factor, found once and shifted."""
-        if self.is_zero:
-            return np.empty(0)
-        return np.concatenate(self._shifted(axis, lambda g: g.critical_points()))
+    def _contract(self, matrix) -> np.ndarray | None:
+        """Sum over generator terms of w * block times matrix(a, factor, offsets) on each axis a.
 
-    def evaluate_grid(self, axes) -> np.ndarray:
-        """Values on the tensor grid spanned by per-axis node arrays, one per axis."""
-        if len(axes) != self.ndim:
-            raise ValueError(f"evaluate_grid needs {self.ndim} axes, got {len(axes)}")
+        Each (rows, shifts) matrix contracts the leading shift axis and
+        appends its row axis.  None for the zero spline.
+        """
         offsets = np.arange(-self.N, self.N + 1, dtype=float)
         out = None
         for phi, block, _ in self._parts:
             for w, fs in phi.terms:
                 vals = w * block
-                for g, ax in zip(fs, axes):
-                    # contract the leading shift axis; the node axis goes last
-                    shift_matrix = g(np.asarray(ax, dtype=float)[:, None] - offsets)
-                    vals = np.tensordot(vals, shift_matrix, axes=(0, 1))
-                if out is None:
-                    out = vals
-                else:
-                    out += vals
+                for a, g in enumerate(fs):
+                    rows = vals.reshape(len(offsets), -1).T @ matrix(a, g, offsets).T
+                    vals = rows.reshape(vals.shape[1:] + (-1,))
+                out = vals if out is None else out + vals
+        return out
+
+    def evaluate_grid(self, axes) -> np.ndarray:
+        """Values on the tensor grid spanned by per-axis node arrays, one per axis."""
+        if len(axes) != self.ndim:
+            raise ValueError(f"evaluate_grid needs {self.ndim} axes, got {len(axes)}")
+        out = self._contract(lambda a, g, offsets: g(np.asarray(axes[a], dtype=float)[:, None] - offsets))
         return np.zeros(tuple(len(ax) for ax in axes)) if out is None else out
+
+    def cells(self, box, extra_breaks=None) -> tuple[list[np.ndarray], np.ndarray]:
+        """The cell form on a box: per-axis cell edges and each cell's tensor polynomial.
+
+        The cells are the product grid of panel_edges of the box with the
+        axis breakpoints plus extra_breaks (one array per axis).
+        coeffs[j_0, .., j_d, m_0, .., m_d] multiplies
+        prod_a (x_a - edges[a][j_a])^m_a on cell (j_0, .., j_d).
+        """
+        extra = extra_breaks or [()] * self.ndim
+        edges = [panel_edges(lo, hi, np.concatenate([*self._shifted(a, lambda g: g.breakpoints), extra[a]]))
+                 for a, (lo, hi) in enumerate(box)]
+        widths = [max(fs[a].coeffs.shape[1] for phi, _, _ in self._parts for _, fs in phi.terms)
+                  for a in range(self.ndim)]
+
+        def local(a, g, offsets):
+            # g(. - k) on the cells is g on the cells shifted by -k, in the same local coordinate
+            rows = np.zeros((len(edges[a]) - 1, widths[a], len(offsets)))
+            rows[:, : g.coeffs.shape[1]] = np.stack([g.resampled(edges[a] - k) for k in offsets], axis=-1)
+            return rows.reshape(-1, len(offsets))
+
+        coeffs = self._contract(local)
+        coeffs = coeffs.reshape([n for e, w in zip(edges, widths) for n in (len(e) - 1, w)])
+        return edges, coeffs.transpose([*range(0, 2 * self.ndim, 2), *range(1, 2 * self.ndim, 2)])
 
 
 # -- norms ----------------------------------------------------------------
-
-
-def _axis_rules(f: TensorFunction, box, quad: QuadratureSpec, extra_breaks=None):
-    rules = []
-    for a, (lo, hi) in enumerate(box):
-        breaks = f.axis_breakpoints(a)
-        if extra_breaks is not None:
-            breaks = np.concatenate([breaks, np.asarray(extra_breaks[a], dtype=float)])
-        rules.append(axis_rule(lo, hi, breaks, quad))
-    return rules
 
 
 def _clip_box(f: TensorFunction, region) -> list[tuple[float, float]] | None:
@@ -506,14 +522,10 @@ def mixed_norm(f: TensorFunction, p: float, q: float, region=None, quad: Quadrat
     """
     if not (1.0 < p < np.inf and 1.0 < q < np.inf):
         raise ValueError("mixed_norm requires 1 < p, q < infinity")
-    if f.is_zero:
-        return 0.0
     box = _clip_box(f, region)
     if box is None:
         return 0.0
-    rules = _axis_rules(f, box, quad)
-    if any(len(r[0]) == 0 for r in rules):
-        return 0.0
+    rules = [axis_rule(lo, hi, f.axis_breakpoints(a), quad) for a, (lo, hi) in enumerate(box)]
     vals = np.abs(f.evaluate_grid([r[0] for r in rules])) ** q
     for _, w in rules[:0:-1]:
         vals = vals @ w
@@ -521,54 +533,59 @@ def mixed_norm(f: TensorFunction, p: float, q: float, region=None, quad: Quadrat
     return float(outer ** (1.0 / p))
 
 
-#: Grid points per breakpoint interval, and local refinements of the
-#: winning cell, in sup_norm's search.
-SUP_POINTS_PER_PIECE = 33
-SUP_REFINE_STEPS = 4
+#: Relative width of the bracket at which sup_norm stops.
+SUP_RTOL = 1e-9
+
+#: Bytes allowed for sup_norm's surviving cells, and for one block of
+#: (outer node, segment) rows in sampling.abs_integral.
+BLOCK_BYTES = 1 << 20
 
 
 def sup_norm(f: TensorFunction, region=None) -> float:
-    """Max of |f| over a breakpoint-refined grid plus per-piece stationary points.
+    """Certified upper end of max |f| over the region, within SUP_RTOL of an attained value.
 
-    The winning grid cell is then refined locally a few times, which
-    recovers interior maxima that sit between grid lines.  f is a
-    TensorFunction or a LatticeSpline; both give the same candidate grid.
+    f (a TensorFunction or a LatticeSpline) is read through its cell form in
+    the Bernstein basis: corner coefficients are values of f, and the
+    largest |coefficient| bounds |f| on its cell (convex hull property).
+    Cells whose bound is within SUP_RTOL of the largest |corner| are set
+    aside; the rest are halved by de Casteljau along each axis on which
+    their coefficients vary, until none is left or they would exceed
+    BLOCK_BYTES (a valid, wider upper end).
     """
-    if f.is_zero:
-        return 0.0
     box = _clip_box(f, region)
     if box is None:
         return 0.0
-    axes = []
-    for a, (lo, hi) in enumerate(box):
-        edges = panel_edges(lo, hi, f.axis_breakpoints(a))
-        cands = [edges]
-        for s, e in zip(edges[:-1], edges[1:]):
-            cands.append(np.linspace(s, e, SUP_POINTS_PER_PIECE))
-        crit = f.axis_critical_points(a)
-        cands.append(crit[(crit >= lo) & (crit <= hi)])
-        axes.append(np.unique(np.concatenate(cands)))
-    vals = f.evaluate_grid(axes)
-    np.abs(vals, out=vals)
-    best = float(np.max(vals))
-    idx = np.unravel_index(int(np.argmax(vals)), vals.shape)
-    center = [axes[a][i] for a, i in enumerate(idx)]
-    spans = []
-    for a, i in enumerate(idx):
-        left = axes[a][max(i - 1, 0)]
-        right = axes[a][min(i + 1, len(axes[a]) - 1)]
-        spans.append(max(right - center[a], center[a] - left, 1e-12))
-    for _ in range(SUP_REFINE_STEPS):
-        local = []
-        for a, (lo, hi) in enumerate(box):
-            pts = np.linspace(center[a] - spans[a], center[a] + spans[a], 17)
-            local.append(np.clip(pts, lo, hi))
-        lv = np.abs(f.evaluate_grid(local))
-        li = np.unravel_index(int(np.argmax(lv)), lv.shape)
-        best = max(best, float(lv[li]))
-        center = [local[a][i] for a, i in enumerate(li)]
-        spans = [s / 8.0 for s in spans]
-    return best
+    edges, coeffs = LatticeSpline.of(f).cells(box)
+    ndim = len(edges)
+    halving = []
+    for a, e in enumerate(edges):
+        w = coeffs.shape[ndim + a]
+        binom = np.array([[math.comb(i, j) for j in range(w)] for i in range(w)], dtype=float)
+        # (x - left)^m = h^m t^m on a cell of width h; then b_i = sum_m C(i, m) / C(w-1, m) h^m c_m
+        c = np.moveaxis(coeffs, (a, ndim + a), (-2, -1)) * np.diff(e)[:, None] ** np.arange(w)
+        coeffs = np.moveaxis(c @ (binom / binom[-1]).T, (-2, -1), (a, ndim + a))
+        # de Casteljau at 1/2: left half b'_i = sum_j C(i, j) / 2^i b_j; the right half mirrors it
+        left = binom / 2.0 ** np.arange(w)[:, None]
+        halving.append(np.stack([left, left[::-1, ::-1]]))
+    cells = coeffs.reshape((-1,) + coeffs.shape[ndim:])
+    corners = (slice(None),) + np.ix_(*[[0, -1]] * ndim)
+    lower = upper = 0.0
+    while True:
+        mags = np.abs(cells)
+        lower = max(lower, float(mags[corners].max()))
+        bound = mags.reshape(len(cells), -1).max(axis=1)
+        keep = bound > lower * (1.0 + SUP_RTOL)
+        upper = max(upper, float(bound[~keep].max(initial=0.0)))
+        if not keep.any():
+            return upper
+        cells = cells[keep]
+        for a in range(ndim):
+            vary = np.diff(cells, axis=1 + a).reshape(len(cells), -1).any(axis=1)
+            if (len(cells) + vary.sum()) * cells[0].nbytes > BLOCK_BYTES:
+                return max(upper, float(bound.max()))
+            # (half, i, j) times (cell, .., j, ..) is (half, i, cell, ..); i goes back in place of j
+            halves = np.moveaxis(np.tensordot(halving[a], cells[vary], axes=(2, 1 + a)), 1, 2 + a)
+            cells = np.concatenate([cells[~vary], halves.reshape((-1,) + cells.shape[1:])])
 
 
 def lp_norm_1d(f: PiecewisePoly1D, p: float, interval=None, quad: QuadratureSpec = DEFAULT_QUAD) -> float:

@@ -180,21 +180,6 @@ class PiecewisePoly1D:
             acc = float(_poly_eval(out[i], np.asarray(h)))
         return PiecewisePoly1D(self.breakpoints, out, continuity=self.continuity + 1, tail=acc)
 
-    def derivative(self) -> "PiecewisePoly1D":
-        if self.num_pieces == 0:
-            return PiecewisePoly1D.zero()
-        deg = self.coeffs.shape[1]
-        if deg == 1:
-            out = np.zeros((self.num_pieces, 1))
-        else:
-            out = self.coeffs[:, 1:] * np.arange(1, deg)
-        return PiecewisePoly1D(self.breakpoints, out, continuity=max(self.continuity - 1, -1))
-
-    def critical_points(self) -> np.ndarray:
-        """Interior stationary points: real roots of each piece's derivative."""
-        roots, inside = _real_roots(self.derivative().coeffs, np.diff(self.breakpoints))
-        return (self.breakpoints[:-1, None] + roots)[inside]
-
     # -- transforms ----------------------------------------------------
 
     def shift_scale(self, shift: float, scale: float) -> "PiecewisePoly1D":
@@ -229,7 +214,7 @@ class PiecewisePoly1D:
         return PiecewisePoly1D(grid, out, continuity=self.continuity + 1)
 
     def resampled(self, grid: np.ndarray) -> np.ndarray:
-        """Local coefficients of f on the given grid (must refine the support)."""
+        """Local coefficients of f on the cells of grid; each cell must lie in one piece or outside."""
         deg = max(self.coeffs.shape[1], 1)
         out = np.zeros((len(grid) - 1, deg))
         for k in range(len(grid) - 1):

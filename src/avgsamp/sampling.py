@@ -19,9 +19,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mixed_space import Cuboid, TensorFunction, DEFAULT_QUAD, _clip_box
+from .mixed_space import BLOCK_BYTES, DEFAULT_QUAD, Cuboid, LatticeSpline, TensorFunction, _clip_box
 from .piecewise import PiecewisePoly1D, _poly_eval, _real_roots
-from .quadrature import QuadratureSpec, axis_rule, panel_edges
+from .quadrature import QuadratureSpec, axis_rule
 
 
 @dataclass(frozen=True)
@@ -257,11 +257,6 @@ def average_sample(f: TensorFunction, kernel: AveragingKernel, point) -> float:
 # -- absolute integrals and the centered statistic -------------------------
 
 
-#: Bytes allowed for one block of (outer node, segment) rows in abs_integral:
-#: their coefficients, companion matrices, roots, cuts and density values.
-ABS_BLOCK_BYTES = 1 << 20
-
-
 def _abs_segment_integrals(coeffs: np.ndarray, h: np.ndarray) -> np.ndarray:
     """Exact integrals of |p| over [0, h] for every row p of ascending coefficients.
 
@@ -289,57 +284,45 @@ def abs_integral(
 ) -> float:
     """Integral of rho * |f| over the region (rho = 1 when density is None).
 
-    The last axis is integrated exactly: at every node of the outer axes
-    each polynomial segment is split at its sign changes.  The outer axes
-    use breakpoint- and density-edge-aligned Gauss panels refined 4x.
-    Outer nodes are processed in blocks that fit ABS_BLOCK_BYTES, so memory
-    does not grow with the quadrature tensor.
+    f (a TensorFunction or a LatticeSpline) is read through its cell form,
+    split at the density edges too.  The last axis is exact: at each outer
+    node, its outer cells' coefficients times its local powers give every
+    last-axis segment's polynomial, split at its sign changes.  The outer
+    axes use Gauss panels on the cell edges refined 4x, in node blocks that
+    fit BLOCK_BYTES, so memory does not grow with the quadrature tensor.
     """
-    if f.is_zero:
-        return 0.0
     box = _clip_box(f, region if region is not None else (density.region if density else None))
     if box is None:
         return 0.0
 
     last = f.ndim - 1
-    breaks = [f.axis_breakpoints(a) for a in range(f.ndim)]
+    edges, coeffs = LatticeSpline.of(f).cells(box, None if density is None else density.cell_edges)
     if density is not None:
-        breaks = [np.concatenate([b, e]) for b, e in zip(breaks, density.cell_edges)]
+        # rho is constant on every cell, and rho |f| = |rho f| there
+        mids = np.stack(np.meshgrid(*[0.5 * (e[:-1] + e[1:]) for e in edges], indexing="ij"), axis=-1)
+        coeffs = coeffs * density.pdf(mids.reshape(-1, f.ndim)).reshape(mids.shape[:-1] + (1,) * f.ndim)
+    # outer cells, outer powers, then last-axis segments and their powers
+    coeffs = np.moveaxis(coeffs, last, -2)
+    nseg, width = coeffs.shape[-2:]
     outer_spec = QuadratureSpec(quad.order, quad.refine * 4)
-    rules = [axis_rule(lo, hi, breaks[a], outer_spec) for a, (lo, hi) in enumerate(box[:last])]
-    ygrid = panel_edges(*box[last], breaks[last])
-    if any(len(nodes) == 0 for nodes, _ in rules) or len(ygrid) < 2:
-        return 0.0
-
-    # per-axis term data: outer factor values per node, last-axis segment coefficients
-    term_weights = np.array([w for w, _ in f.terms])
-    outer_vals = [np.stack([fs[a](rules[a][0]) for _, fs in f.terms]) for a in range(last)]
-    seg_coeffs = [fs[last].resampled(ygrid) for _, fs in f.terms]
-    width = max(c.shape[1] for c in seg_coeffs)
-    nseg = len(ygrid) - 1
-    stacked = np.zeros((len(f.terms), nseg, width))
-    for t, c in enumerate(seg_coeffs):
-        stacked[t, :, : c.shape[1]] = c
-    stacked = stacked.reshape(len(f.terms), nseg * width)
-    seg_h = np.diff(ygrid)
-    ymid = 0.5 * (ygrid[:-1] + ygrid[1:])
+    rules = [axis_rule(lo, hi, e, outer_spec) for (lo, hi), e in zip(box[:last], edges)]
+    # per outer axis: each node's cell and the powers of its offset from that cell's left edge
+    cells = [np.searchsorted(e, nodes, side="right") - 1 for e, (nodes, _) in zip(edges, rules)]
+    powers = [(nodes - e[i])[:, None] ** np.arange(w)
+              for e, i, (nodes, _), w in zip(edges, cells, rules, coeffs.shape[last:-2])]
+    seg_h = np.diff(edges[last])
 
     shape = tuple(len(nodes) for nodes, _ in rules)
-    node_bytes = 8 * (len(f.terms) + nseg * ((width + 2) ** 2 + f.ndim))
-    block = max(1, ABS_BLOCK_BYTES // node_bytes)
+    node_bytes = 8 * nseg * (math.prod(coeffs.shape[last:-2]) * width + (width + 2) ** 2 + f.ndim)
+    block = max(1, BLOCK_BYTES // node_bytes)
     count = math.prod(shape)
     total = 0.0
     for start in range(0, count, block):
         idx = np.unravel_index(np.arange(start, min(start + block, count)), shape)
-        xv = term_weights * np.prod([v[:, i].T for v, i in zip(outer_vals, idx)], axis=0)
-        coeff = (xv @ stacked).reshape(-1, width)
-        inner = _abs_segment_integrals(coeff, np.tile(seg_h, len(idx[0]))).reshape(-1, nseg)
-        if density is not None:
-            probe = np.empty(inner.shape + (f.ndim,))
-            for a, (nodes, _) in enumerate(rules):
-                probe[..., a] = nodes[idx[a], None]
-            probe[..., last] = ymid
-            inner = inner * density.pdf(probe.reshape(-1, f.ndim)).reshape(inner.shape)
+        seg = coeffs[tuple(c[i] for c, i in zip(cells, idx))]
+        for pw, i in zip(powers, idx):
+            seg = np.einsum("bj...,bj->b...", seg, pw[i])
+        inner = _abs_segment_integrals(seg.reshape(-1, width), np.tile(seg_h, len(idx[0]))).reshape(-1, nseg)
         wts = np.prod([w[i] for (_, w), i in zip(rules, idx)], axis=0)
         total += float(wts @ inner.sum(axis=1))
     return total

@@ -79,6 +79,26 @@ def minimal_config(**over):
     return cfg
 
 
+def _malformed(name, match, mode=None, density=None, **entry):
+    """minimal_config with its first signal entry, sample mode or density replaced."""
+    cfg = minimal_config()
+    cfg["signal"][0].update(entry)
+    cfg["samples"]["mode"] = mode or cfg["samples"]["mode"]
+    cfg["density"] = density or cfg["density"]
+    return name, cfg, match
+
+
+MALFORMED = [
+    _malformed("short_shift", "2 entries", k=[0]),
+    _malformed("shift_outside_N", r"\[-1, 1\]", k=[3, 0]),
+    _malformed("missing_generator", "generator 1", generator=1),
+    _malformed("unknown_mode", "samples.mode", mode="grid"),
+    _malformed("separable_needs_uniform", "uniform density", mode="separable",
+               density={"kind": "piecewise_constant", "edges": [[-3.0, 0.0, 3.0], [-3.0, 3.0]],
+                        "mass": [[0.4], [0.6]]}),
+]
+
+
 class TestConfig:
     def test_build_resolves_everything(self):
         exp = build_experiment(minimal_config())
@@ -97,6 +117,12 @@ class TestConfig:
     def test_wrong_schema_rejected(self):
         with pytest.raises(ConfigError, match="schema"):
             build_experiment(minimal_config(schema=2))
+
+    @pytest.mark.parametrize("case", MALFORMED, ids=lambda c: c[0])
+    def test_malformed_signal_and_mode_rejected(self, case):
+        _, cfg, match = case
+        with pytest.raises(ConfigError, match=match):
+            build_experiment(cfg)
 
     def test_explicit_constants_honored(self):
         cfg = minimal_config()
@@ -497,6 +523,16 @@ class TestCli:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"schema": 99}))
         assert main(["table", "--config", str(bad)]) == 2
+
+    @pytest.mark.parametrize("command", [["table"], ["constants", "--theorem", "omega"]])
+    @pytest.mark.parametrize("case", MALFORMED, ids=lambda c: c[0])
+    def test_malformed_config_exits_2_with_an_error(self, tmp_path, capsys, case, command):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(case[1]))
+        out = tmp_path / "out"
+        assert main([command[0], "--config", str(path), "--out", str(out), *command[1:]]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
 
     def test_seed_override_changes_output(self, tmp_path):
         cfg = self._write_config(tmp_path)

@@ -1,25 +1,37 @@
-"""Tests for LatticeSpline and the coefficient-error norms of the error tables.
+"""Tests for LatticeSpline, its cell form and the error norms built on it.
 
-The oracle is the expanded path: synthesize writes the same function as a
-TensorFunction with one term per coefficient, which evaluate_grid, sup_norm
-and mixed_norm handle term by term.
+One oracle is the expanded path: synthesize writes the same function as a
+TensorFunction with one term per coefficient, whose evaluate_grid and
+mixed_norm work term by term, and whose sup_norm and abs_integral read the
+N = 0 cell form of that expansion.  The other is pointwise: dense-grid
+values, polished by scipy, bracket the certified sup_norm, and each cell's
+polynomial is compared with evaluate_grid inside that cell.
 """
+
+import time
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
+from avgsamp import mixed_space
 from avgsamp.mixed_space import (
     DEFAULT_QUAD,
+    SUP_RTOL,
     CoefficientGrid,
     Cuboid,
     LatticeSpline,
+    TensorFunction,
+    _clip_box,
     _shift_gram,
     mixed_norm,
+    random_unit_grid,
     sup_norm,
     synthesize,
     tensor_bspline,
 )
-from avgsamp.sampling import abs_integral
+from avgsamp.piecewise import PiecewisePoly1D, bspline
+from avgsamp.sampling import Density, abs_integral
 
 
 def _case(name):
@@ -61,8 +73,6 @@ def test_grid_values_and_geometry_match_the_expansion(name, sparse):
     assert lattice.support_box() == expanded.support_box()
     for a in range(lattice.ndim):
         assert np.array_equal(lattice.axis_breakpoints(a), expanded.axis_breakpoints(a))
-        np.testing.assert_allclose(np.unique(lattice.axis_critical_points(a)),
-                                   np.unique(expanded.axis_critical_points(a)), rtol=0, atol=1e-14)
 
 
 @pytest.mark.parametrize("name", CASES)
@@ -87,9 +97,114 @@ def test_zero_coefficient_error_gives_zero_norms(name):
     flat = delta.flatten()
     assert flat @ _shift_gram(funcs, N, ck, DEFAULT_QUAD) @ flat == 0.0
     assert abs_integral(synthesize(funcs, delta), ck) == 0.0
+    assert abs_integral(lattice, ck) == 0.0
 
 
 def test_evaluate_grid_checks_the_axis_count():
     funcs, N, _ = _case("d1")
     with pytest.raises(ValueError, match="needs 2 axes"):
         LatticeSpline(funcs, _delta(funcs, N, 1)).evaluate_grid([np.zeros(3)])
+
+
+def _dense_max(f, box):
+    """max |f| on a dense grid that holds every breakpoint, and that max polished by scipy.
+
+    Both are attained values, so both lie at or below the true maximum.
+    """
+    axes = []
+    for a, (lo, hi) in enumerate(box):
+        bp = f.axis_breakpoints(a)
+        dense = np.linspace(lo, hi, 161 if len(box) == 2 else 41)
+        axes.append(np.unique(np.concatenate([dense, bp[(bp >= lo) & (bp <= hi)]])))
+    vals = np.abs(f.evaluate_grid(axes))
+    best = np.unravel_index(np.argmax(vals), vals.shape)
+    res = minimize(lambda x: -abs(float(f.evaluate_grid([[v] for v in x]).ravel()[0])),
+                   [ax[i] for ax, i in zip(axes, best)], method="L-BFGS-B", bounds=box,
+                   options={"ftol": 1e-16, "gtol": 1e-14})
+    return float(vals[best]), max(float(vals[best]), -float(res.fun))
+
+
+def _enclosure_cases():
+    cases = []
+    for name in CASES:
+        funcs, N, ck = _case(name)
+        delta = _delta(funcs, N, 5)
+        cases += [pytest.param(LatticeSpline(funcs, delta), ck, id=f"{name}-lattice"),
+                  pytest.param(synthesize(funcs, delta), ck, id=f"{name}-expanded")]
+    return cases
+
+
+@pytest.mark.parametrize("f, region", _enclosure_cases())
+def test_sup_norm_brackets_the_attained_maximum(f, region):
+    grid_max, attained = _dense_max(f, _clip_box(f, region))
+    sup = sup_norm(f, region)
+    assert grid_max <= attained <= sup <= attained * (1.0 + SUP_RTOL + 1e-13)
+
+
+def test_sup_norm_of_a_ridge_and_of_a_kink(monkeypatch):
+    # a ridge: every cell is constant along y, so only x is halved, and a
+    # small budget still reaches the full SUP_RTOL width; the region puts
+    # the peak x = 0 off every dyadic point of its cell
+    monkeypatch.setattr(mixed_space, "BLOCK_BYTES", 4096)
+    ridge = TensorFunction.separable([bspline(2), PiecewisePoly1D.indicator(-1.0, 1.0)])
+    assert 0.75 <= sup_norm(ridge, [(-1.5, 0.37), (-1.0, 1.0)]) <= 0.75 * (1.0 + SUP_RTOL)
+    # the maximum 1 sits on a kink, which is a cell corner
+    hats = TensorFunction.separable([bspline(1).shift_scale(0.25, 1.0), bspline(1)])
+    assert sup_norm(hats, Cuboid(1.5, 1.5)) == 1.0
+
+
+def test_sup_norm_budget_stop_is_still_an_upper_end(monkeypatch):
+    funcs, N, ck = _case("d2")
+    f = LatticeSpline(funcs, _delta(funcs, N, 5))
+    grid_max, attained = _dense_max(f, _clip_box(f, ck))
+    monkeypatch.setattr(mixed_space, "BLOCK_BYTES", 1024)
+    capped = sup_norm(f, ck)
+    # the stop leaves a wider bracket, but its upper end still bounds the maximum
+    assert capped >= attained >= grid_max
+    assert capped > attained * (1.0 + SUP_RTOL)
+
+
+def _cell_values(edges, coeffs, points):
+    """Each cell's polynomial at its own point: points[a][j] lies in cell j of axis a."""
+    ndim = len(edges)
+    vals = coeffs
+    for a in reversed(range(ndim)):
+        # contract the last power axis with the powers of the offset from the cell's left edge
+        powers = (points[a] - edges[a][:-1])[:, None] ** np.arange(vals.shape[-1])
+        vals = np.einsum("...jm,jm->...j", np.moveaxis(vals, a, -2), powers)
+        vals = np.moveaxis(vals, -1, a)
+    return vals
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_cell_form_matches_the_values_inside_each_cell(name):
+    funcs, N, ck = _case(name)
+    delta = _delta(funcs, N, 7)
+    rng = np.random.default_rng(9)
+    for f in (LatticeSpline(funcs, delta), synthesize(funcs, delta)):
+        edges, coeffs = LatticeSpline.of(f).cells(_clip_box(f, ck))
+        points = [e[:-1] + rng.uniform(size=len(e) - 1) * np.diff(e) for e in edges]
+        want = f.evaluate_grid(points)
+        got = _cell_values(edges, coeffs, points)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_l1_without_expansion_matches_the_expansion(name):
+    funcs, N, ck = _case(name)
+    delta = _delta(funcs, N, 11)
+    lattice, expanded = LatticeSpline(funcs, delta), synthesize(funcs, delta)
+    assert abs_integral(lattice, ck) == pytest.approx(abs_integral(expanded, ck), rel=1e-14, abs=0.0)
+    edges = [np.linspace(lo, hi, 3) for lo, hi in ck.box]
+    rho = Density.piecewise_constant(ck, edges, np.full((2,) * ck.ndim, 0.5 ** ck.ndim))
+    assert (abs_integral(lattice, ck, density=rho)
+            == pytest.approx(abs_integral(expanded, ck, density=rho), rel=1e-14, abs=0.0))
+
+
+def test_sup_of_a_343_term_expansion_is_fast():
+    f = synthesize((tensor_bspline([3, 3, 3]),), random_unit_grid(1, 3, 2, 2, 2, np.random.default_rng(4)))
+    assert len(f.terms) == 343
+    start = time.perf_counter()
+    sup = sup_norm(f, Cuboid(3.5, 3.5, 2))
+    assert time.perf_counter() - start < 2.0
+    assert sup > 0.0

@@ -365,3 +365,6 @@ class TestHelpers:
         g = CoefficientGrid.zeros(1, 1, 1)
         with pytest.raises(IndexError):
             g.set(0, (2, 0), 1.0)
+        for short_or_long in ((0,), (0, 0, 0)):
+            with pytest.raises(ValueError, match="needs 2 entries"):
+                g.set(0, short_or_long, 1.0)
