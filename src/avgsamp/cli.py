@@ -17,6 +17,7 @@ from .experiments import (
     emit_surface,
     load_config,
     probability_sweep,
+    row_seed,
     run_table,
 )
 from .reconstruction import RankDeficientError, build_sample_matrix, solve
@@ -118,12 +119,10 @@ def _cmd_surface(args) -> int:
     if args.which in ("recon", "both"):
         n = args.n or exp.sample_sizes[0][0]
         m = args.m or exp.sample_sizes[0][1]
-        from .experiments import row_seed
-
         samples = draw_samples(exp.density, n, m, row_seed(exp.seed, n, m), exp.mode)
         S = build_sample_matrix(exp.phi, exp.kernel, samples, exp.N)
         try:
-            res = solve(S, exp.conv.evaluate(samples.points))
+            res = solve(S, S.entries @ exp.signal.flatten())
             recon = LatticeSpline(exp.phi, res.grid)
             path = f"{stem}.recon.{ext}"
             emit_surface(recon, grid_spec, path, exp, args.format)

@@ -36,7 +36,6 @@ from .mixed_space import (
     decay_constant,
     estimate_stability,
     sup_norm,
-    synthesize,
     tensor_bspline,
 )
 from .quadrature import QuadratureSpec
@@ -78,6 +77,10 @@ class Experiment:
     norm of the bounds (CoefficientGrid.seq_mixed_norm, which sums the
     per-generator block norms); for r > 1 alpha1 is the Euclidean Gram bound
     divided by sqrt(r) (see estimate_stability), for r = 1 both are exact.
+
+    f, the signal, and conv = f * psi are LatticeSplines, never expanded.
+    Where a sampling matrix S is built anyway (run_table, recovery sweeps,
+    surface) the sample values are S c, not conv at the sample points.
     """
 
     raw: dict
@@ -104,11 +107,11 @@ class Experiment:
         return config_hash(self.raw)
 
     @property
-    def f(self) -> TensorFunction:
-        return synthesize(self.phi, self.signal)
+    def f(self) -> LatticeSpline:
+        return LatticeSpline(self.phi, self.signal)
 
     @property
-    def conv(self) -> TensorFunction:
+    def conv(self) -> LatticeSpline:
         return convolve(self.f, self.kernel)
 
     def space_params(self) -> SpaceParams:
@@ -266,7 +269,8 @@ class ResultTable:
 def run_table(exp: Experiment) -> ResultTable:
     """Draw, reconstruct and measure errors for every configured (n, m).
 
-    Every error is a norm over the cuboid of the lattice spline of the
+    A row's sample values are S c, with S its sampling matrix.  Every
+    error is a norm over the cuboid of the lattice spline of the
     coefficient error delta = c - c_hat, which is f minus the
     reconstruction, kept as one LatticeSpline and never expanded: the sup
     error is sup_norm's certified upper end and the L1 error abs_integral,
@@ -277,16 +281,14 @@ def run_table(exp: Experiment) -> ResultTable:
     Rank-deficient draws are recorded with the observed rank, those two
     values and empty error fields; they are reported, never retried.
     """
-    conv = exp.conv
     gram = _shift_gram(exp.phi.generators, exp.N, exp.cuboid, exp.quad)
     rows = []
     for n, m in exp.sample_sizes:
         rseed = row_seed(exp.seed, n, m)
         samples = draw_samples(exp.density, n, m, rseed, exp.mode)
         S = build_sample_matrix(exp.phi, exp.kernel, samples, exp.N)
-        values = conv.evaluate(samples.points)
         try:
-            res = solve(S, values)
+            res = solve(S, S.entries @ exp.signal.flatten())
         except RankDeficientError as exc:
             rows.append(TableRow(n, m, rseed, exc.rank, True, math.nan, math.nan, math.nan,
                                  math.nan, *conditioning(exc.singular_values, exc.columns)))
@@ -316,7 +318,7 @@ def emit_surface(func: TensorFunction | LatticeSpline, grid_spec: dict, path, ex
         raise ValueError("grid resolution must be at least 2 per axis")
     xs = np.linspace(float(gx[0]), float(gx[1]), int(gx[2]))
     ys = np.linspace(float(gy[0]), float(gy[1]), int(gy[2]))
-    vals = func.evaluate_grid([xs, ys]) if not func.is_zero else np.zeros((len(xs), len(ys)))
+    vals = func.evaluate_grid([xs, ys])
     header = exp.file_header() if exp is not None else None
     if fmt == "csv":
         with open(path, "w", newline="", encoding="utf-8") as fh:

@@ -69,15 +69,11 @@ class TensorFunction:
     """Finite sum of separable piecewise-polynomial terms on R x R^d."""
 
     def __init__(self, terms):
-        terms = [(float(w), tuple(fs)) for w, fs in terms if w != 0.0 and not any(f.is_zero for f in fs)]
-        if terms:
-            ndim = len(terms[0][1])
-            if any(len(fs) != ndim for _, fs in terms):
-                raise ValueError("all terms must have the same number of axis factors")
-            self._ndim = ndim
-        else:
-            self._ndim = 0
-        self.terms = tuple(terms)
+        terms = [(float(w), tuple(fs)) for w, fs in terms]
+        self._ndim = len(terms[0][1]) if terms else 0
+        if any(len(fs) != self._ndim for _, fs in terms):
+            raise ValueError("all terms must have the same number of axis factors")
+        self.terms = tuple((w, fs) for w, fs in terms if w != 0.0 and not any(f.is_zero for f in fs))
 
     @classmethod
     def zero(cls, ndim: int = 2) -> "TensorFunction":
@@ -114,34 +110,18 @@ class TensorFunction:
             return np.empty(0)
         return np.unique(np.concatenate([fs[axis].breakpoints for _, fs in self.terms]))
 
-    # -- evaluation -------------------------------------------------------
+    # -- evaluation, through the N = 0 lattice of f ------------------------
 
     def evaluate(self, points) -> np.ndarray:
-        """Pointwise values; points has shape (..., d+1)."""
-        pts = np.asarray(points, dtype=float)
-        scalar = pts.ndim == 1
-        pts = np.atleast_2d(pts)
-        out = np.zeros(pts.shape[0])
-        for w, fs in self.terms:
-            vals = np.full(pts.shape[0], w)
-            for a, f in enumerate(fs):
-                vals *= f(pts[:, a])
-            out += vals
-        return float(out[0]) if scalar else out
+        """Pointwise values (see LatticeSpline.evaluate)."""
+        return LatticeSpline.of(self).evaluate(points)
 
     def __call__(self, *coords) -> float:
         return self.evaluate(np.asarray(coords, dtype=float))
 
     def evaluate_grid(self, axes) -> np.ndarray:
-        """Values on the tensor grid spanned by per-axis node arrays, one per axis."""
-        if len(axes) != self._ndim:
-            raise ValueError(f"evaluate_grid needs {self._ndim} axes, got {len(axes)}")
-        shape = tuple(len(a) for a in axes)
-        out = np.zeros(shape)
-        for w, fs in self.terms:
-            vals = [f(np.asarray(ax, dtype=float)) for f, ax in zip(fs, axes)]
-            out += w * reduce(np.multiply.outer, vals)
-        return out
+        """Values on a tensor grid (see LatticeSpline.evaluate_grid)."""
+        return LatticeSpline.of(self).evaluate_grid(axes)
 
     # -- algebra ----------------------------------------------------------
 
@@ -324,19 +304,21 @@ class CoefficientGrid:
     def size(self) -> int:
         return self.values.size
 
-    def _slot(self, k) -> tuple[int, ...]:
+    def _slot(self, i: int, k) -> tuple[int, ...]:
+        if not 0 <= i < self.r:
+            raise IndexError(f"generator {i} outside [0, {self.r})")
         k = np.atleast_1d(np.asarray(k, dtype=int))
         if k.shape != (self.values.ndim - 1,):
             raise ValueError(f"shift {k} needs {self.values.ndim - 1} entries")
         if np.any(np.abs(k) > self.N):
             raise IndexError(f"shift {k} outside [-N, N] with N={self.N}")
-        return tuple(k + self.N)
+        return (i, *(k + self.N))
 
     def get(self, i: int, k) -> float:
-        return float(self.values[(i, *self._slot(k))])
+        return float(self.values[self._slot(i, k)])
 
     def set(self, i: int, k, value: float) -> None:
-        self.values[(i, *self._slot(k))] = value
+        self.values[self._slot(i, k)] = value
 
     def flatten(self) -> np.ndarray:
         return self.values.reshape(-1)
@@ -379,7 +361,7 @@ def random_unit_grid(r: int, N: int, d: int, p: float, q: float, rng: np.random.
 
 
 def synthesize(generators, c: CoefficientGrid) -> TensorFunction:
-    """Sum_i sum_{|k| <= N} c_i(k) phi_i(. - k) as an explicit TensorFunction."""
+    """The test oracle: sum_i sum_{|k| <= N} c_i(k) phi_i(. - k) as one TensorFunction term per coefficient."""
     funcs = generators.generators if isinstance(generators, GeneratorSet) else tuple(generators)
     terms = []
     for i, phi in enumerate(funcs):
@@ -389,38 +371,61 @@ def synthesize(generators, c: CoefficientGrid) -> TensorFunction:
             shifted = phi.shift(k)
             w = float(block[tuple(idx)])
             terms.extend((w * tw, tf) for tw, tf in shifted.terms)
-    out = TensorFunction(terms)
-    if out.is_zero:
-        out._ndim = funcs[0].ndim
-    return out
+    return TensorFunction(terms) if terms else TensorFunction.zero(funcs[0].ndim)
+
+
+def _axis_values(f: TensorFunction, points: np.ndarray, axis: int, shifts: np.ndarray) -> np.ndarray:
+    """(P, shifts, terms): each term's axis factor, weighted on axis 0, at every point minus every shift."""
+    vals = np.zeros((points.shape[0], len(shifts), len(f.terms)))
+    for t, (w, fs) in enumerate(f.terms):
+        vals[:, :, t] = fs[axis](points[:, axis, None] - shifts[None, :]) * (w if axis == 0 else 1.0)
+    return vals
+
+
+def _shifted_values(funcs, points: np.ndarray, shifts) -> np.ndarray:
+    """f(. - k) at the points for every function f and every k in the product of per-axis shift arrays.
+
+    One column block per function, its shifts in lexicographic order: the
+    Khatri-Rao product over the axes of _axis_values, summed over terms.
+    """
+    def block(f):
+        vals = _axis_values(f, points, 0, shifts[0])
+        for a in range(1, len(shifts)):
+            vals = (vals[:, :, None, :] * _axis_values(f, points, a, shifts[a])[:, None, :, :]
+                    ).reshape(points.shape[0], -1, len(f.terms))
+        return vals.sum(axis=2)
+
+    return np.concatenate([block(f) for f in funcs], axis=1)
 
 
 class LatticeSpline:
     """Sum_i sum_{|k| <= N} c_i(k) phi_i(. - k), kept as generators plus coefficients.
 
-    synthesize expands the same function into one term per coefficient.
-    Here each generator term's coefficient block is contracted axis by axis
-    with a matrix over the shifts k (mode-n products): factor(nodes - k) in
-    evaluate_grid, the local piece coefficients of factor(. - k) on every
-    cell in cells (the cell form).  The cost grows with the output plus the
-    coefficients, not with their product.  A TensorFunction is the N = 0
-    lattice of itself (LatticeSpline.of).  Support and breakpoints are
-    those of the shifts with a nonzero coefficient.
+    The package computes with such a function only in this form;
+    synthesize, its expansion into one term per coefficient, is the test
+    oracle.  Each generator term's coefficient block, cut to the shifts k
+    with a nonzero coefficient, is contracted axis by axis with a matrix
+    over them (mode-n products): factor(x_a - k_a) row by row in evaluate,
+    factor(nodes - k) in evaluate_grid, the local piece coefficients of
+    factor(. - k) on every cell in cells (the cell form).  The cost grows
+    with the output plus the coefficients, not with their product.  A
+    TensorFunction is the N = 0 lattice of itself (LatticeSpline.of).
     """
 
     def __init__(self, generators, c: CoefficientGrid):
         funcs = generators.generators if isinstance(generators, GeneratorSet) else tuple(generators)
+        self.generators = funcs
+        self.coefficients = c
         self.ndim = funcs[0].ndim
-        self.N = c.N
-        # (generator, coefficient block, per axis the shifts with a nonzero coefficient)
+        # (generator, block over the active shifts, per axis the shifts with a nonzero coefficient)
         self._parts = []
         for phi, block in zip(funcs, c.values):
             nonzero = block != 0.0
             if phi.is_zero or not nonzero.any():
                 continue
-            shifts = [np.flatnonzero(nonzero.any(axis=tuple(b for b in range(self.ndim) if b != a)))
-                      - float(c.N) for a in range(self.ndim)]
-            self._parts.append((phi, block, shifts))
+            active = [np.flatnonzero(nonzero.any(axis=tuple(b for b in range(self.ndim) if b != a)))
+                      for a in range(self.ndim)]
+            self._parts.append((phi, block[np.ix_(*active)], [k - float(c.N) for k in active]))
 
     @classmethod
     def of(cls, f) -> "LatticeSpline":
@@ -450,19 +455,36 @@ class LatticeSpline:
             return np.empty(0)
         return np.unique(np.concatenate(self._shifted(axis, lambda g: g.breakpoints)))
 
+    def evaluate(self, points) -> np.ndarray:
+        """Pointwise values; points has shape (P, d+1), or (d+1,) for one point.
+
+        The first axis's _axis_values contract the block, each later axis's
+        the result row by row: einsum, not BLAS, so that a point's value does
+        not depend on the other points evaluated with it.
+        """
+        pts = np.asarray(points, dtype=float)
+        scalar = pts.ndim == 1
+        pts = np.atleast_2d(pts)
+        out = np.zeros(pts.shape[0])
+        for phi, block, ks in self._parts:
+            vals = np.einsum("pkt,k...->pt...", _axis_values(phi, pts, 0, ks[0]), block)
+            for a in range(1, self.ndim):
+                vals = np.einsum("pkt,ptk...->pt...", _axis_values(phi, pts, a, ks[a]), vals)
+            out += vals.sum(axis=1)
+        return float(out[0]) if scalar else out
+
     def _contract(self, matrix) -> np.ndarray | None:
-        """Sum over generator terms of w * block times matrix(a, factor, offsets) on each axis a.
+        """Sum over generator terms of w * block times matrix(a, factor, shifts) on each axis a.
 
         Each (rows, shifts) matrix contracts the leading shift axis and
         appends its row axis.  None for the zero spline.
         """
-        offsets = np.arange(-self.N, self.N + 1, dtype=float)
         out = None
-        for phi, block, _ in self._parts:
+        for phi, block, ks in self._parts:
             for w, fs in phi.terms:
                 vals = w * block
                 for a, g in enumerate(fs):
-                    rows = vals.reshape(len(offsets), -1).T @ matrix(a, g, offsets).T
+                    rows = vals.reshape(len(ks[a]), -1).T @ matrix(a, g, ks[a]).T
                     vals = rows.reshape(vals.shape[1:] + (-1,))
                 out = vals if out is None else out + vals
         return out
@@ -471,7 +493,7 @@ class LatticeSpline:
         """Values on the tensor grid spanned by per-axis node arrays, one per axis."""
         if len(axes) != self.ndim:
             raise ValueError(f"evaluate_grid needs {self.ndim} axes, got {len(axes)}")
-        out = self._contract(lambda a, g, offsets: g(np.asarray(axes[a], dtype=float)[:, None] - offsets))
+        out = self._contract(lambda a, g, ks: g(np.asarray(axes[a], dtype=float)[:, None] - ks))
         return np.zeros(tuple(len(ax) for ax in axes)) if out is None else out
 
     def cells(self, box, extra_breaks=None) -> tuple[list[np.ndarray], np.ndarray]:
@@ -488,11 +510,11 @@ class LatticeSpline:
         widths = [max(fs[a].coeffs.shape[1] for phi, _, _ in self._parts for _, fs in phi.terms)
                   for a in range(self.ndim)]
 
-        def local(a, g, offsets):
+        def local(a, g, ks):
             # g(. - k) on the cells is g on the cells shifted by -k, in the same local coordinate
-            rows = np.zeros((len(edges[a]) - 1, widths[a], len(offsets)))
-            rows[:, : g.coeffs.shape[1]] = np.stack([g.resampled(edges[a] - k) for k in offsets], axis=-1)
-            return rows.reshape(-1, len(offsets))
+            rows = np.zeros((len(edges[a]) - 1, widths[a], len(ks)))
+            rows[:, : g.coeffs.shape[1]] = np.stack([g.resampled(edges[a] - k) for k in ks], axis=-1)
+            return rows.reshape(-1, len(ks))
 
         coeffs = self._contract(local)
         coeffs = coeffs.reshape([n for e, w in zip(edges, widths) for n in (len(e) - 1, w)])
@@ -515,7 +537,7 @@ def _clip_box(f: TensorFunction, region) -> list[tuple[float, float]] | None:
 
 
 def mixed_norm(f: TensorFunction, p: float, q: float, region=None, quad: QuadratureSpec = DEFAULT_QUAD) -> float:
-    """Mixed norm ( int_x ( int_y |f|^q dy )^{p/q} dx )^{1/p} over the region.
+    """Mixed norm ( int_x ( int_y |f|^q dy )^{p/q} dx )^{1/p} of f (or a LatticeSpline) over the region.
 
     region None means the support bounding box, which equals the global
     norm for compactly supported functions.
@@ -666,6 +688,6 @@ def estimate_stability(
     lo, hi = np.inf, 0.0
     for _ in range(trials):
         c = random_unit_grid(len(funcs), N, funcs[0].ndim - 1, p, q, rng)
-        norm = mixed_norm(synthesize(funcs, c), p, q, region, quad)
+        norm = mixed_norm(LatticeSpline(funcs, c), p, q, region, quad)
         lo, hi = min(lo, norm), max(hi, norm)
     return lo, hi

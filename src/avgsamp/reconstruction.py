@@ -22,11 +22,11 @@ from .mixed_space import (
     CoefficientGrid,
     Cuboid,
     GeneratorSet,
-    TensorFunction,
+    LatticeSpline,
+    _shifted_values,
     estimate_stability,
     lpq_norm,
     mixed_norm,
-    synthesize,
 )
 from .quadrature import QuadratureSpec
 from .sampling import AveragingKernel, Density, SampleSet, abs_integral, convolve, draw_samples
@@ -74,41 +74,19 @@ class SampleMatrix:
     kernel: AveragingKernel
     samples: SampleSet
     N: int
-    convolved: tuple[TensorFunction, ...]
 
     @property
     def shape(self) -> tuple[int, int]:
         return self.entries.shape
 
 
-def _shifted_values(f: TensorFunction, points: np.ndarray, N: int) -> np.ndarray:
-    """Values of f(. - k) for every lattice shift |k| <= N; shape (P, (2N+1)^ndim)."""
-    offsets = np.arange(-N, N + 1, dtype=float)
-    block = None
-    for a in range(f.ndim):
-        axis_vals = np.zeros((points.shape[0], len(offsets), len(f.terms)))
-        for t, (w, fs) in enumerate(f.terms):
-            axis_vals[:, :, t] = fs[a](points[:, a, None] - offsets[None, :])
-        if block is None:
-            weights = np.array([w for w, _ in f.terms])
-            block = axis_vals * weights[None, None, :]
-        else:
-            block = block[:, :, None, :] * axis_vals[:, None, :, :]
-            block = block.reshape(points.shape[0], -1, len(f.terms))
-    return block.sum(axis=2)
-
-
-def _sample_entries(convolved, points: np.ndarray, N: int) -> np.ndarray:
-    """Sampling-matrix entries from already convolved generators, one column block each."""
-    return np.concatenate([_shifted_values(conv, points, N) for conv in convolved], axis=1)
-
-
 def build_sample_matrix(phi: GeneratorSet, kernel: AveragingKernel,
                         samples: SampleSet, N: int) -> SampleMatrix:
     """Assemble the sampling matrix from the closed-form convolved generators."""
-    convolved = tuple(convolve(g, kernel) for g in phi.generators)
-    entries = _sample_entries(convolved, samples.points, N)
-    return SampleMatrix(entries, phi, kernel, samples, N, convolved)
+    convolved = [convolve(g, kernel) for g in phi.generators]
+    offsets = np.arange(-N, N + 1, dtype=float)
+    entries = _shifted_values(convolved, samples.points, [offsets] * phi.ndim)
+    return SampleMatrix(entries, phi, kernel, samples, N)
 
 
 def _full_rank_svd(entries: np.ndarray):
@@ -143,7 +121,7 @@ class LstsqResult:
 
 
 def solve(S: SampleMatrix, samples_vec) -> LstsqResult:
-    """Minimum-norm least squares through a rank-revealing SVD.
+    """Minimum-norm least squares: the dual family's coefficients of the samples.
 
     A numerical rank (see RANK_TOL) below the column count raises
     RankDeficientError (the reconstruction identity is not guaranteed
@@ -153,48 +131,48 @@ def solve(S: SampleMatrix, samples_vec) -> LstsqResult:
     rows = S.entries.shape[0]
     if b.shape[0] != rows:
         raise ValueError(f"sample vector length {b.shape[0]} != row count {rows}")
-    U, sv, Vt, _ = _full_rank_svd(S.entries)
-    x = _min_norm_solution(U, sv, Vt, b)
-    residual = float(np.linalg.norm(S.entries @ x - b))
-    grid = CoefficientGrid.from_flat(x, S.phi.r, S.N, S.phi.d)
-    return LstsqResult(grid, residual, len(sv), sv)
+    family = dual_family(S)
+    grid = family.coefficients(b)
+    residual = float(np.linalg.norm(S.entries @ grid.flatten() - b))
+    return LstsqResult(grid, residual, len(family.sv), family.sv)
 
 
 @dataclass
 class DualFamily:
     """Dual functions realized through the minimum-norm pseudo-inverse.
 
-    pinv maps sample values to coefficients; the dual function for sample
-    (j, k) synthesizes the corresponding pseudo-inverse column against the
-    generators, and applying the family to the samples of any function in
-    the finite subspace reproduces it exactly in the full-rank regime.
+    U, sv, Vt: the thin SVD of the sampling matrix S, which maps sample
+    values to coefficients; solve takes its coefficients from here.  The
+    dual function for sample (j, k) is the LatticeSpline of that sample's
+    pseudo-inverse column; in the full-rank regime the family reproduces
+    every function of the finite subspace.
     """
 
-    pinv: np.ndarray  # (columns, n*m)
-    phi: GeneratorSet
-    N: int
-    n: int
-    m: int
+    S: SampleMatrix
+    U: np.ndarray  # (n*m, columns)
+    sv: np.ndarray
+    Vt: np.ndarray
+
+    def _grid(self, flat: np.ndarray) -> CoefficientGrid:
+        return CoefficientGrid.from_flat(flat, self.S.phi.r, self.S.N, self.S.phi.d)
 
     def coefficients(self, sample_values) -> CoefficientGrid:
         vals = np.asarray(sample_values, dtype=float).ravel()
-        return CoefficientGrid.from_flat(self.pinv @ vals, self.phi.r, self.N, self.phi.d)
+        return self._grid(_min_norm_solution(self.U, self.sv, self.Vt, vals))
 
-    def reconstruct(self, sample_values) -> TensorFunction:
-        return synthesize(self.phi, self.coefficients(sample_values))
+    def reconstruct(self, sample_values) -> LatticeSpline:
+        return LatticeSpline(self.S.phi, self.coefficients(sample_values))
 
-    def function(self, j: int, k: int) -> TensorFunction:
+    def function(self, j: int, k: int) -> LatticeSpline:
         """Dual function for the 1-based sample index (j, k)."""
-        row = (j - 1) * self.m + (k - 1)
-        grid = CoefficientGrid.from_flat(self.pinv[:, row], self.phi.r, self.N, self.phi.d)
-        return synthesize(self.phi, grid)
+        row = (j - 1) * self.S.samples.m + (k - 1)
+        return LatticeSpline(self.S.phi, self._grid(self.Vt.T @ (self.U[row] / self.sv)))
 
 
 def dual_family(S: SampleMatrix) -> DualFamily:
     """Pseudo-inverse dual family; requires numerically full column rank."""
     U, sv, Vt, _ = _full_rank_svd(S.entries)
-    pinv = Vt.T @ np.diag(1.0 / sv) @ U.T
-    return DualFamily(pinv, S.phi, S.N, S.samples.n, S.samples.m)
+    return DualFamily(S, U, sv, Vt)
 
 
 @dataclass
@@ -251,7 +229,7 @@ def membership(phi: GeneratorSet, kernel: AveragingKernel, c: CoefficientGrid,
                             and the matching conv-norm lower bound (level delta).
     Returns the boolean plus the slack of every inequality involved.
     """
-    f = synthesize(phi, c)
+    f = LatticeSpline(phi, c)
     conv = convolve(f, kernel)
     global_norm = mixed_norm(f, p, q, quad=quad)
     if signal_class == "min_conv_norm":
@@ -382,7 +360,7 @@ def empirical_success(spec: TrialSpec, trials: int, seed: int,
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    f = synthesize(spec.phi, spec.coeffs)
+    f = LatticeSpline(spec.phi, spec.coeffs)
     conv = convolve(f, spec.kernel)
 
     lower = upper = fnorm = None
@@ -397,7 +375,7 @@ def empirical_success(spec: TrialSpec, trials: int, seed: int,
     recovery = spec.kind == "recovery"
     rows, cols = spec.n * spec.m, spec.coeffs.size
     if recovery:
-        convolved = tuple(convolve(g, spec.kernel) for g in spec.phi.generators)
+        shifts = [np.arange(-spec.N, spec.N + 1, dtype=float)] * spec.phi.ndim
         target = spec.coeffs.flatten()
     batch = _batch_size(spec)
     trial_seeds = np.random.SeedSequence(seed).generate_state(trials, dtype=np.uint64)
@@ -406,10 +384,12 @@ def empirical_success(spec: TrialSpec, trials: int, seed: int,
         seeds = [int(s) for s in trial_seeds[start:start + batch]]
         points = np.concatenate([draw_samples(spec.rho, spec.n, spec.m, s, spec.mode).points
                                  for s in seeds])
-        values = conv.evaluate(points).reshape(len(seeds), rows)
         if recovery:
-            stack = _sample_entries(convolved, points, spec.N).reshape(len(seeds), rows, cols)
+            stack = _shifted_values(conv.generators, points, shifts).reshape(len(seeds), rows, cols)
+            values = stack @ target
             U, sv, Vt, ranks = _full_rank_svd(stack)
+        else:
+            values = conv.evaluate(points).reshape(len(seeds), rows)
         for b, tseed in enumerate(seeds):
             t = start + b
             if not recovery:

@@ -233,20 +233,13 @@ def _convolve_factors(f: PiecewisePoly1D, g: PiecewisePoly1D) -> PiecewisePoly1D
     return out
 
 
-def convolve(f: TensorFunction, kernel: AveragingKernel) -> TensorFunction:
-    """Closed-form f * psi; the support is the Minkowski sum of the supports."""
-    if f.is_zero:
-        return TensorFunction.zero(f.ndim if f.ndim else kernel.psi.ndim)
-    terms = []
-    for wf, ffs in f.terms:
-        for wg, gfs in kernel.psi.terms:
-            factors = tuple(_convolve_factors(ff, gf) for ff, gf in zip(ffs, gfs))
-            if not any(p.is_zero for p in factors):
-                terms.append((wf * wg, factors))
-    out = TensorFunction(terms)
-    if out.is_zero:
-        out._ndim = f.ndim
-    return out
+def convolve(f: TensorFunction | LatticeSpline, kernel: AveragingKernel) -> TensorFunction | LatticeSpline:
+    """Closed-form f * psi (support: the Minkowski sum); a LatticeSpline convolves its generators only."""
+    if isinstance(f, LatticeSpline):
+        return LatticeSpline(tuple(convolve(g, kernel) for g in f.generators), f.coefficients)
+    terms = [(wf * wg, tuple(_convolve_factors(ff, gf) for ff, gf in zip(ffs, gfs)))
+             for wf, ffs in f.terms for wg, gfs in kernel.psi.terms]
+    return TensorFunction(terms) if terms else TensorFunction.zero(f.ndim or kernel.psi.ndim)
 
 
 def average_sample(f: TensorFunction, kernel: AveragingKernel, point) -> float:

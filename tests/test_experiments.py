@@ -302,14 +302,14 @@ class TestSurface:
         row = table.rows[0]
         # rebuild the reconstruction exactly as the table did
         from avgsamp.experiments import row_seed
-        from avgsamp.mixed_space import synthesize
+        from avgsamp.mixed_space import LatticeSpline
         from avgsamp.reconstruction import build_sample_matrix, solve
         from avgsamp.sampling import draw_samples
 
         samples = draw_samples(exp.density, 5, 5, row_seed(exp.seed, 5, 5), exp.mode)
         S = build_sample_matrix(exp.phi, exp.kernel, samples, exp.N)
-        res = solve(S, exp.conv.evaluate(samples.points))
-        recon = synthesize(exp.phi, res.grid)
+        res = solve(S, S.entries @ exp.signal.flatten())
+        recon = LatticeSpline(exp.phi, res.grid)
         fpath, rpath = tmp_path / "f.csv", tmp_path / "r.csv"
         grid = {"x": [-3, 3, 61], "y": [-3, 3, 61]}
         emit_surface(exp.f, grid, fpath, exp)

@@ -9,6 +9,11 @@ exempt.
 It can also leave a tolerance or helper behind: a module-level private
 name (``_x``) or UPPER_CASE constant counts as orphaned when no package
 module loads it, by name or as an attribute.
+
+And an expansion can come back: the package computes with every
+sum_k c(k) phi(. - k) as a LatticeSpline, so no module other than
+``mixed_space``, which defines the oracle ``synthesize``, may import or load
+it.
 """
 
 import ast
@@ -109,3 +114,22 @@ def test_detects_an_orphaned_name():
                   "def _helper():\n    return LOG_MAX\ndef public():\n    pass\n")
     b = ast.parse("from . import a\nx = a._helper()\n")
     assert set(orphaned({"a.py": a, "b.py": b})) == {"a.py:SERIES_BLOCK", "a.py:_cache"}
+
+
+def expands(tree: ast.Module) -> bool:
+    """Whether the module imports synthesize, under any name, or loads it as a name or attribute."""
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                for alias in node.names}
+    return "synthesize" in imported | loaded_names(tree)
+
+
+def test_no_module_expands_a_lattice():
+    found = [p.name for p in MODULES
+             if p.name != "mixed_space.py" and expands(ast.parse(p.read_text(encoding="utf-8")))]
+    assert not found, f"these modules expand a lattice through synthesize: {found}"
+
+
+def test_detects_an_expansion():
+    assert expands(ast.parse("from .mixed_space import synthesize as s\n"))
+    assert expands(ast.parse("from . import mixed_space\nf = mixed_space.synthesize(phi, c)\n"))
+    assert not expands(ast.parse("from .mixed_space import LatticeSpline\nf = LatticeSpline(phi, c)\n"))

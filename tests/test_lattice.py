@@ -1,9 +1,9 @@
 """Tests for LatticeSpline, its cell form and the error norms built on it.
 
 One oracle is the expanded path: synthesize writes the same function as a
-TensorFunction with one term per coefficient, whose evaluate_grid and
-mixed_norm work term by term, and whose sup_norm and abs_integral read the
-N = 0 cell form of that expansion.  The other is pointwise: dense-grid
+TensorFunction with one term per coefficient, which evaluate, evaluate_grid,
+mixed_norm, sup_norm and abs_integral read as the N = 0 lattice of that
+expansion, one term at a time.  The other is pointwise: dense-grid
 values, polished by scipy, bracket the certified sup_norm, and each cell's
 polynomial is compared with evaluate_grid inside that cell.
 """
@@ -20,10 +20,12 @@ from avgsamp.mixed_space import (
     SUP_RTOL,
     CoefficientGrid,
     Cuboid,
+    GeneratorSet,
     LatticeSpline,
     TensorFunction,
     _clip_box,
     _shift_gram,
+    estimate_stability,
     mixed_norm,
     random_unit_grid,
     sup_norm,
@@ -31,7 +33,7 @@ from avgsamp.mixed_space import (
     tensor_bspline,
 )
 from avgsamp.piecewise import PiecewisePoly1D, bspline
-from avgsamp.sampling import Density, abs_integral
+from avgsamp.sampling import AveragingKernel, Density, abs_integral, convolve
 
 
 def _case(name):
@@ -70,6 +72,13 @@ def test_grid_values_and_geometry_match_the_expansion(name, sparse):
     want = expanded.evaluate_grid(axes)
     got = lattice.evaluate_grid(axes)
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    points = np.random.default_rng(4).uniform(-N - 2.0, N + 2.0, (300, lattice.ndim))
+    want = expanded.evaluate(points)
+    got = lattice.evaluate(points)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    # a single point gives a float, and the same value as in the batch
+    one = lattice.evaluate(points[7])
+    assert isinstance(one, float) and one == got[7]
     assert lattice.support_box() == expanded.support_box()
     for a in range(lattice.ndim):
         assert np.array_equal(lattice.axis_breakpoints(a), expanded.axis_breakpoints(a))
@@ -93,11 +102,37 @@ def test_zero_coefficient_error_gives_zero_norms(name):
     delta = CoefficientGrid.zeros(len(funcs), N, funcs[0].ndim - 1)
     lattice = LatticeSpline(funcs, delta)
     assert lattice.is_zero
+    assert not lattice.evaluate(np.ones((4, lattice.ndim))).any()
+    assert lattice.evaluate(np.ones(lattice.ndim)) == 0.0
     assert sup_norm(lattice, ck) == 0.0
     flat = delta.flatten()
     assert flat @ _shift_gram(funcs, N, ck, DEFAULT_QUAD) @ flat == 0.0
     assert abs_integral(synthesize(funcs, delta), ck) == 0.0
     assert abs_integral(lattice, ck) == 0.0
+
+
+@pytest.mark.parametrize("name", CASES)
+@pytest.mark.parametrize("sparse", [False, True])
+def test_convolution_keeps_the_coefficients(name, sparse):
+    funcs, N, ck = _case(name)
+    delta = _delta(funcs, N, 13, sparse)
+    kernel = AveragingKernel.box([(-0.25, 0.125)] + [(-0.125, 0.25)] * (ck.ndim - 1), ck)
+    conv = convolve(LatticeSpline(funcs, delta), kernel)
+    assert isinstance(conv, LatticeSpline) and conv.coefficients is delta
+    points = np.random.default_rng(6).uniform(-N - 2.0, N + 2.0, (300, ck.ndim))
+    want = convolve(synthesize(funcs, delta), kernel).evaluate(points)
+    got = conv.evaluate(points)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_p3_random_search_on_a_d2_lattice_is_fast():
+    # the expanded search took about 1 s on a 2-core Xeon
+    phi = GeneratorSet((tensor_bspline([2, 2, 2]),), 1.4, 3.0, 3.0, 0.1, 1.0)
+    estimate_stability(phi, 3.0, 3.0, 1, trials=1)  # warm up outside the measurement
+    start = time.perf_counter()
+    lo, hi = estimate_stability(phi, 3.0, 3.0, 2, trials=10)
+    assert time.perf_counter() - start < 0.5
+    assert 0.0 < lo <= hi
 
 
 def test_evaluate_grid_checks_the_axis_count():

@@ -368,3 +368,14 @@ class TestHelpers:
         for short_or_long in ((0,), (0, 0, 0)):
             with pytest.raises(ValueError, match="needs 2 entries"):
                 g.set(0, short_or_long, 1.0)
+
+    def test_grid_rejects_a_generator_index_outside_its_range(self):
+        g = CoefficientGrid.zeros(2, 1, 1)
+        for i in (-1, 2):
+            with pytest.raises(IndexError, match="generator"):
+                g.set(i, (0, 0), 5.0)
+            with pytest.raises(IndexError, match="generator"):
+                g.get(i, (0, 0))
+        assert not g.values.any()
+        with pytest.raises(IndexError, match="generator"):
+            CoefficientGrid.from_entries(2, 1, 1, [(0, (0, 0), 1.0), (-1, (1, 1), 2.0)])

@@ -1,7 +1,7 @@
 """The batched Monte Carlo trial loop against the plain per-trial loop.
 
 The reference draws each trial, builds its sample matrix (convolving the
-generators again) and solves it on its own.  empirical_success must give
+generators again), takes the sample values as S c and solves it on its own.  empirical_success must give
 the same records, compared with float equality: hoisting and batching
 change the order in which the work is done, not the arithmetic.
 """
@@ -18,9 +18,9 @@ from avgsamp.mixed_space import (
     CoefficientGrid,
     Cuboid,
     GeneratorSet,
+    LatticeSpline,
     lpq_norm,
     mixed_norm,
-    synthesize,
     tensor_bspline,
 )
 from avgsamp.reconstruction import (
@@ -38,7 +38,7 @@ from avgsamp.sampling import AveragingKernel, Density, convolve, draw_samples
 
 def reference_records(spec: TrialSpec, trials: int, seed: int) -> list[TrialRecord]:
     """One draw, one sample matrix and one SVD per trial."""
-    f = synthesize(spec.phi, spec.coeffs)
+    f = LatticeSpline(spec.phi, spec.coeffs)
     conv = convolve(f, spec.kernel)
     fnorm = mixed_norm(f, spec.p, spec.q)
     lower, upper = spec.bounds or (None, None)
@@ -49,7 +49,7 @@ def reference_records(spec: TrialSpec, trials: int, seed: int) -> list[TrialReco
         samples = draw_samples(spec.rho, spec.n, spec.m, tseed, spec.mode)
         if spec.kind == "recovery":
             S = build_sample_matrix(spec.phi, spec.kernel, samples, spec.N)
-            values = conv.evaluate(samples.points)
+            values = S.entries @ spec.coeffs.flatten()
             sv = np.linalg.svd(S.entries, full_matrices=False)[1]
             rows, cols = S.shape
             smin = float(sv[-1]) if rows >= cols else 0.0
