@@ -32,7 +32,8 @@ from .mixed_space import (
     GeneratorSet,
     LatticeSpline,
     TensorFunction,
-    _shift_gram,
+    _gram_form,
+    _term_grams,
     decay_constant,
     estimate_stability,
     sup_norm,
@@ -43,7 +44,7 @@ from .reconstruction import (
     RankDeficientError,
     TrialSpec,
     beta_tilde,
-    build_sample_matrix,
+    _sample_matrix,
     conditioning,
     empirical_success,
     solve,
@@ -275,18 +276,22 @@ def run_table(exp: Experiment) -> ResultTable:
     reconstruction, kept as one LatticeSpline and never expanded: the sup
     error is sup_norm's certified upper end and the L1 error abs_integral,
     both read from its cell form, and the L2 error is exact as
-    sqrt(delta^T G delta) with G the shift Gram over the cuboid.  Every
+    sqrt(delta^T G delta) with G the shift Gram over the cuboid, taken by
+    mode products of delta with the per-axis Grams (G is not formed).
+    The per-axis Grams and the generators convolved with the kernel are
+    built once per call.  Every
     row also carries the sample matrix's smallest singular value and
     condition number.
     Rank-deficient draws are recorded with the observed rank, those two
     values and empty error fields; they are reported, never retried.
     """
-    gram = _shift_gram(exp.phi.generators, exp.N, exp.cuboid, exp.quad)
+    convolved = [convolve(g, exp.kernel) for g in exp.phi.generators]
+    term_grams = _term_grams(exp.phi.generators, exp.N, exp.cuboid, exp.quad)
     rows = []
     for n, m in exp.sample_sizes:
         rseed = row_seed(exp.seed, n, m)
         samples = draw_samples(exp.density, n, m, rseed, exp.mode)
-        S = build_sample_matrix(exp.phi, exp.kernel, samples, exp.N)
+        S = _sample_matrix(exp.phi, exp.kernel, convolved, samples, exp.N)
         try:
             res = solve(S, S.entries @ exp.signal.flatten())
         except RankDeficientError as exc:
@@ -294,11 +299,10 @@ def run_table(exp: Experiment) -> ResultTable:
                                  math.nan, *conditioning(exc.singular_values, exc.columns)))
             continue
         delta = CoefficientGrid(exp.signal.values - res.grid.values, exp.N)
-        flat = delta.flatten()
         spline = LatticeSpline(exp.phi, delta)
         sup = sup_norm(spline, exp.cuboid)
         l1 = abs_integral(spline, exp.cuboid, exp.quad)
-        l2 = math.sqrt(max(float(flat @ gram @ flat), 0.0))
+        l2 = math.sqrt(max(_gram_form(term_grams, delta), 0.0))
         rows.append(TableRow(n, m, rseed, res.rank, False, sup, l1, l2, res.residual,
                              *conditioning(res.singular_values, delta.size)))
     return ResultTable(rows, exp.hash, exp.seed)

@@ -630,13 +630,14 @@ def lpq_norm(values: np.ndarray, p: float, q: float) -> float:
     return float(np.sum(inner ** (p / q)) ** (1.0 / p))
 
 
-def _shift_gram(funcs, N: int, region, quad: QuadratureSpec) -> np.ndarray:
-    """Gram matrix of the shifts f_i(. - k), |k| <= N, over the region (None: everywhere).
+def _term_grams(funcs, N: int, region, quad: QuadratureSpec) -> list:
+    """(i, j, w v, per-axis Grams) for every term w prod_a g_a of f_i and every term v prod_a h_a of f_j.
 
-    Rows and columns run over (i, k) in CoefficientGrid.flatten order.  Each
-    block is a sum over term pairs of Kronecker products of per-axis 1-D
-    Grams, integrated with one rule per axis whose panels contain every
-    shifted breakpoint, so no tensor quadrature grid is formed.
+    The Gram on axis a is the (2N+1)^2 matrix of the integrals of
+    g_a(t - k) h_a(t - l), |k|, |l| <= N, over the region's side (None:
+    everywhere).  One rule per axis has panels that contain every shifted
+    breakpoint of every function, so these integrals are exact up to
+    rounding and no tensor quadrature grid is formed.
     """
     offsets = np.arange(-N, N + 1, dtype=float)
     box = _as_box(region)
@@ -648,13 +649,52 @@ def _shift_gram(funcs, N: int, region, quad: QuadratureSpec) -> np.ndarray:
     # per function, per term: (weight, [factor a at node - k for each axis a])
     terms = [[(w, [g(nodes[:, None] - offsets) for g, (nodes, _) in zip(fs, rules)])
               for w, fs in f.terms] for f in funcs]
+    return [(i, j, w * v, [x.T @ (wts[:, None] * y) for x, y, (_, wts) in zip(fx, gx, rules)])
+            for i, f_terms in enumerate(terms) for w, fx in f_terms
+            for j, g_terms in enumerate(terms) for v, gx in g_terms]
 
-    def block(f_terms, g_terms):
-        return sum(w * v * reduce(np.kron, [x.T @ (wts[:, None] * y)
-                                            for x, y, (_, wts) in zip(fx, gx, rules)])
-                   for w, fx in f_terms for v, gx in g_terms)
 
-    return np.block([[block(f_terms, g_terms) for g_terms in terms] for f_terms in terms])
+#: Bytes allowed for a dense shift Gram; eigvalsh's work arrays take about
+#: twice as much again.
+GRAM_BYTES = 256 << 20
+
+
+def _shift_gram(funcs, N: int, region, quad: QuadratureSpec) -> np.ndarray:
+    """Dense Gram matrix of the shifts f_i(. - k), |k| <= N, over the region (None: everywhere).
+
+    Only sets of several functions, or of a function with several terms,
+    need it (one tensor term has a Kronecker Gram, see estimate_stability);
+    tests use it as the oracle.  Rows and columns run over (i, k) in
+    CoefficientGrid.flatten order.  Block (i, j) is the sum over term
+    pairs of w v times the Kronecker product of their per-axis Grams
+    (_term_grams).  A Gram above GRAM_BYTES raises MemoryError before
+    anything is allocated.
+    """
+    side = len(funcs) * (2 * N + 1) ** funcs[0].ndim
+    if 8 * side * side > GRAM_BYTES:
+        mb = 8 * side * side / 2 ** 20
+        raise MemoryError(f"dense shift Gram of side {side} needs {mb:.0f} MB, about {3 * mb:.0f} MB "
+                          f"with eigvalsh's work arrays, above GRAM_BYTES ({GRAM_BYTES >> 20} MB)")
+    blocks = [[0] * len(funcs) for _ in funcs]
+    for i, j, wv, grams in _term_grams(funcs, N, region, quad):
+        blocks[i][j] = blocks[i][j] + wv * reduce(np.kron, grams)
+    return np.block(blocks)
+
+
+def _gram_form(term_grams, c: CoefficientGrid) -> float:
+    """c^T G c, with G the shift Gram of _shift_gram, from its _term_grams; G is not formed.
+
+    For every term pair (i, j) the block c_j is multiplied along each
+    shift axis by the pair's Gram on that axis (mode products), then
+    summed against c_i.
+    """
+    total = 0.0
+    for i, j, wv, grams in term_grams:
+        right = c.values[j]
+        for a, G in enumerate(grams):
+            right = np.moveaxis(np.tensordot(G, right, axes=(1, a)), 0, a)
+        total += wv * float(np.sum(c.values[i] * right))
+    return total
 
 
 def estimate_stability(
@@ -674,16 +714,28 @@ def estimate_stability(
     coefficient norm; the block-summed norm lies between that norm and
     sqrt(r) times it, so the lower bound is sqrt(lambda_min / r) and the
     upper one sqrt(lambda_max), both certified (both exact for r = 1).
-    Other exponents return the (min, max) over `trials` seeded random
-    unit-coefficient grids: an upper estimate of the lower constant and a
-    lower estimate of the upper one.
+    For one function of one term w prod_a g_a the Gram is w^2 times the
+    Kronecker product of the per-axis (2N+1)^2 Grams G_a, so lambda_min is
+    w^2 prod_a lambda_min(G_a), each clamped at 0, and lambda_max likewise;
+    no dense Gram is formed.  Other sets take the dense _shift_gram, with
+    its byte guard.  Other exponents return the (min, max) over `trials`
+    seeded random unit-coefficient grids: an upper estimate of the lower
+    constant and a lower estimate of the upper one.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     funcs = generators.generators if isinstance(generators, GeneratorSet) else tuple(generators)
     if p == 2.0 and q == 2.0:
-        lam = np.linalg.eigvalsh(_shift_gram(funcs, N, region, quad))
-        return float(np.sqrt(max(lam[0], 0.0) / len(funcs))), float(np.sqrt(max(lam[-1], 0.0)))
+        if len(funcs) == 1 and len(funcs[0].terms) == 1:
+            # G = w^2 kron_a G_a, whose extreme eigenvalues are products of the per-axis ones
+            (_, _, ww, grams), = _term_grams(funcs, N, region, quad)
+            ends = [np.linalg.eigvalsh(G)[[0, -1]] for G in grams]
+            lo = ww * math.prod(max(e[0], 0.0) for e in ends)
+            hi = ww * math.prod(e[1] for e in ends)
+        else:
+            lam = np.linalg.eigvalsh(_shift_gram(funcs, N, region, quad))
+            lo, hi = lam[0], lam[-1]
+        return float(np.sqrt(max(lo, 0.0) / len(funcs))), float(np.sqrt(max(hi, 0.0)))
     rng = np.random.default_rng(seed)
     lo, hi = np.inf, 0.0
     for _ in range(trials):

@@ -83,7 +83,12 @@ class SampleMatrix:
 def build_sample_matrix(phi: GeneratorSet, kernel: AveragingKernel,
                         samples: SampleSet, N: int) -> SampleMatrix:
     """Assemble the sampling matrix from the closed-form convolved generators."""
-    convolved = [convolve(g, kernel) for g in phi.generators]
+    return _sample_matrix(phi, kernel, [convolve(g, kernel) for g in phi.generators], samples, N)
+
+
+def _sample_matrix(phi: GeneratorSet, kernel: AveragingKernel, convolved,
+                   samples: SampleSet, N: int) -> SampleMatrix:
+    """build_sample_matrix from generators already convolved with the kernel."""
     offsets = np.arange(-N, N + 1, dtype=float)
     entries = _shifted_values(convolved, samples.points, [offsets] * phi.ndim)
     return SampleMatrix(entries, phi, kernel, samples, N)
@@ -200,7 +205,9 @@ def beta_tilde(phi: GeneratorSet, kernel: AveragingKernel, N: int, p: float, q: 
     The lower stability constant of the convolved generators on the region
     (see estimate_stability): for p = q = 2 the square root of the smallest
     Gram eigenvalue divided by sqrt(r), otherwise a random-search upper
-    estimate of the true constant.
+    estimate of the true constant.  A box kernel keeps a one-term generator
+    one term, so for such a generator the eigenvalue is the product of the
+    per-axis ones and no dense Gram is formed.
     """
     convolved = [convolve(g, kernel) for g in phi.generators]
     value = estimate_stability(convolved, p, q, N, trials, seed, quad, region)[0]

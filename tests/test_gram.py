@@ -3,20 +3,29 @@
 The oracle is the dense path: one tensor quadrature grid over the box,
 every shifted function evaluated at every node, and G = B^T W B.  Its
 memory grows with the product of the axis node counts times the column
-count, so it only runs on small cases here.
+count, so it only runs on small cases here.  The dense _shift_gram, in
+turn, is the oracle of the per-axis paths of one-term sets.
 """
 
 import itertools
+import math
+import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import avgsamp
+from avgsamp import experiments, mixed_space
 from avgsamp.mixed_space import (
     DEFAULT_QUAD,
+    CoefficientGrid,
     Cuboid,
     GeneratorSet,
+    _gram_form,
     _shift_gram,
+    _term_grams,
     estimate_stability,
     tensor_bspline,
 )
@@ -141,3 +150,144 @@ def test_beta_tilde_memory_at_d2_n3():
         tracemalloc.stop()
     assert est.certified and est.value > 0.0
     assert peak < 50 * 2 ** 20
+
+
+# -- the per-axis path of one-term sets against the dense _shift_gram --------
+
+ROOT = Path(__file__).resolve().parent.parent
+CONFIGS = sorted((ROOT / "configs").glob("*.json")) + sorted((ROOT / "perfbench" / "configs").glob("*.json"))
+
+ONE_TERM = {
+    "bspline_22": tensor_bspline([2, 2]),
+    "bspline_123_shifted": tensor_bspline([1, 2, 3], [0.25, -0.5, 0.125]),
+    "weighted": tensor_bspline([2, 1], weight=-1.5),
+}
+
+
+def dense_constants(funcs, N, region, quad=DEFAULT_QUAD):
+    """(alpha1, alpha2) from eigvalsh of the dense Gram, the dense path of estimate_stability."""
+    lam = np.linalg.eigvalsh(_shift_gram(funcs, N, region, quad))
+    return math.sqrt(max(lam[0], 0.0) / len(funcs)), math.sqrt(max(lam[-1], 0.0))
+
+
+def assert_lower_constant_close(got, funcs, N, region):
+    """got is within 1e-13 relative of the dense lower constant, up to what eigvalsh resolves.
+
+    eigvalsh finds each eigenvalue of the dense Gram to about side * eps
+    * lambda_max absolutely (Weyl), so a small lambda_min carries that much
+    error of its own; the per-axis eigenvalues are the more accurate ones.
+    """
+    want, hi = dense_constants(funcs, N, region)
+    side = len(funcs) * (2 * N + 1) ** funcs[0].ndim
+    assert abs(got ** 2 - want ** 2) <= 1e-13 * want ** 2 + side * np.finfo(float).eps * hi ** 2
+
+
+@pytest.mark.parametrize("on_cuboid", [False, True])
+@pytest.mark.parametrize("name", ONE_TERM)
+def test_per_axis_stability_matches_the_dense_gram(name, on_cuboid):
+    f = ONE_TERM[name]
+    region = Cuboid(2.0, 1.5, f.ndim - 1) if on_cuboid else None
+    lo, hi = estimate_stability((f,), 2.0, 2.0, 2, region=region)
+    _, want_hi = dense_constants((f,), 2, region)
+    assert_lower_constant_close(lo, (f,), 2, region)
+    assert hi == pytest.approx(want_hi, rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("weight", [1.0, 0.75])
+@pytest.mark.parametrize("name", ["bspline_22", "bspline_123_shifted"])
+def test_per_axis_beta_tilde_matches_the_dense_gram(name, weight):
+    f = ONE_TERM[name]
+    ck = Cuboid(2.0, 1.5, f.ndim - 1)
+    kernel = AveragingKernel.box([(-0.125, 0.25)] + [(-0.25, 0.25)] * (f.ndim - 1), ck, weight)
+    phi = GeneratorSet((f,), 1.0, 2.0, 2.0, 0.1, 1.0)
+    est = beta_tilde(phi, kernel, 2, 2.0, 2.0, ck)
+    assert est.certified and est.method == "gram_eigenvalue"
+    assert_lower_constant_close(est.value, (convolve(f, kernel),), 2, ck)
+
+
+def test_dense_sets_keep_their_constants_bytewise():
+    # reprs of the dense path's values, which the per-axis branch must leave untouched
+    ck = Cuboid(2.5, 2.5)
+    r2 = (tensor_bspline([1, 1]), tensor_bspline([2, 2], [0.5, 0.0]))
+    two_terms = (tensor_bspline([1, 2]) + tensor_bspline([2, 1], [0.5, -0.5], weight=0.5),)
+    assert estimate_stability(r2, 2.0, 2.0, 2) == (0.018338194918468914, 1.3336458950157157)
+    assert estimate_stability(r2, 2.0, 2.0, 2, region=ck) == (0.010487572849770749, 1.3234896903116546)
+    assert estimate_stability(two_terms, 2.0, 2.0, 2) == (0.2939859407301543, 1.3989258974181251)
+    assert estimate_stability(two_terms, 2.0, 2.0, 2, region=ck) == (0.27683118829949177, 1.3849798754246694)
+    for funcs in (r2, two_terms):
+        assert estimate_stability(funcs, 2.0, 2.0, 2, region=ck) == dense_constants(funcs, 2, ck)
+    kernel = AveragingKernel.box([(-0.125, 0.125)] * 2, ck)
+    phi = GeneratorSet(r2, 1.0, 2.0, 2.0, 0.1, 1.0)
+    assert beta_tilde(phi, kernel, 2, 2.0, 2.0, ck).value == 0.0005940159355767371
+
+
+L2_SETS = {
+    "one_term_d1": (tensor_bspline([2, 2], weight=0.5),),
+    "one_term_d2": (tensor_bspline([1, 2, 3], [0.25, -0.5, 0.125]),),
+    "r2": (tensor_bspline([1, 1]), tensor_bspline([2, 2], [0.5, 0.0])),
+    "two_terms": (tensor_bspline([1, 2]) + tensor_bspline([2, 1], [0.5, -0.5], weight=0.5),),
+}
+
+
+@pytest.mark.parametrize("name", L2_SETS)
+def test_gram_form_matches_the_dense_gram(name):
+    funcs = L2_SETS[name]
+    ck = Cuboid(2.0, 1.5, funcs[0].ndim - 1)
+    rng = np.random.default_rng(4)
+    for region in (ck, None):
+        G = _shift_gram(funcs, 2, region, DEFAULT_QUAD)
+        grams = _term_grams(funcs, 2, region, DEFAULT_QUAD)
+        for _ in range(3):
+            c = CoefficientGrid(rng.standard_normal((len(funcs),) + (5,) * funcs[0].ndim), 2)
+            flat = c.flatten()
+            assert _gram_form(grams, c) == pytest.approx(flat @ G @ flat, rel=1e-13, abs=0.0)
+        assert _gram_form(grams, CoefficientGrid.zeros(len(funcs), 2, funcs[0].ndim - 1)) == 0.0
+
+
+def test_per_axis_stability_at_d2_n7_is_fast_and_small():
+    # the dense Gram here is 3375^2 (87 MB) and its eigvalsh took seconds
+    phi = GeneratorSet((tensor_bspline([2, 2, 2]),), 1.0, 2.0, 2.0, 0.1, 1.0)
+    estimate_stability(phi, 2.0, 2.0, 1)  # warm up outside the measurement
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        lo, hi = estimate_stability(phi, 2.0, 2.0, 7)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0.0 < lo < hi
+    assert elapsed < 0.1
+    assert peak < 2 ** 20
+
+
+def test_dense_gram_above_its_byte_budget_raises_up_front():
+    # r = 2, d = 2, N = 7: side 2 * 15^3 = 6750, a 364 MB Gram
+    r2 = (tensor_bspline([1, 1, 1]), tensor_bspline([2, 2, 2]))
+    tracemalloc.start()
+    try:
+        with pytest.raises(MemoryError, match="side 6750"):
+            estimate_stability(r2, 2.0, 2.0, 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+    lo, hi = estimate_stability(r2[1:], 2.0, 2.0, 7)
+    assert 0.0 < lo < hi
+
+
+def test_one_term_configs_never_form_the_dense_gram(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense shift Gram formed for a one-term set")
+
+    for mod in vars(avgsamp).values():
+        if getattr(mod, "__name__", "").startswith("avgsamp.") and hasattr(mod, "_shift_gram"):
+            monkeypatch.setattr(mod, "_shift_gram", refuse)
+    assert mixed_space._shift_gram is refuse
+    for path in CONFIGS:
+        exp = experiments.load_config(path)
+        assert exp.stability_certified
+        for selector in ("omega", "mu", "concentrated", "reconstruction"):
+            experiments.constants_report(exp, selector)
+        table = experiments.run_table(exp)
+        assert all(math.isfinite(row.l2_error) for row in table.rows if not row.rank_deficient)
