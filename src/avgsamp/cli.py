@@ -117,8 +117,8 @@ def _cmd_surface(args) -> int:
         wrote.append(path)
     code = 0
     if args.which in ("recon", "both"):
-        n = args.n or exp.sample_sizes[0][0]
-        m = args.m or exp.sample_sizes[0][1]
+        n = exp.sample_sizes[0][0] if args.n is None else args.n
+        m = exp.sample_sizes[0][1] if args.m is None else args.m
         samples = draw_samples(exp.density, n, m, row_seed(exp.seed, n, m), exp.mode)
         S = build_sample_matrix(exp.phi, exp.kernel, samples, exp.N)
         try:
@@ -180,8 +180,8 @@ def _cmd_constants(args) -> int:
 
 def _cmd_samples(args) -> int:
     exp = load_config(args.config, args.seed)
-    n = args.n or exp.sample_sizes[0][0]
-    m = args.m or exp.sample_sizes[0][1]
+    n = exp.sample_sizes[0][0] if args.n is None else args.n
+    m = exp.sample_sizes[0][1] if args.m is None else args.m
     mode = args.mode or exp.mode
     samples = draw_samples(exp.density, n, m, exp.seed, mode)
     out = args.out or "samples.csv"

@@ -21,6 +21,7 @@ import numpy as np
 from .bounds import (
     BoundReport,
     SpaceParams,
+    _jsonable,
     concentration_class_report,
     mu_class_report,
     omega_class_report,
@@ -31,7 +32,6 @@ from .mixed_space import (
     Cuboid,
     GeneratorSet,
     LatticeSpline,
-    TensorFunction,
     _gram_form,
     _term_grams,
     decay_constant,
@@ -145,6 +145,7 @@ def build_experiment(raw: dict, seed_override: int | None = None) -> Experiment:
     sp = raw.get("space", {})
     for key in ("p", "q", "d", "N", "K1", "K2"):
         _require(key in sp, f"space.{key} is required")
+        _require(isinstance(sp[key], (int, float)), f"space.{key} must be a number")
     p, q, d, N = float(sp["p"]), float(sp["q"]), int(sp["d"]), int(sp["N"])
     cuboid = Cuboid(float(sp["K1"]), float(sp["K2"]), d)
 
@@ -156,6 +157,7 @@ def build_experiment(raw: dict, seed_override: int | None = None) -> Experiment:
              "generators.bsplines must list at least one generator")
     funcs = []
     for g in gen["bsplines"]:
+        _require("degree" in g, "generators.bsplines[].degree is required")
         degree = int(g["degree"])
         shift = [float(s) for s in g.get("shift", [0.0] * (d + 1))]
         _require(len(shift) == d + 1, "generator shift must have d+1 entries")
@@ -181,6 +183,7 @@ def build_experiment(raw: dict, seed_override: int | None = None) -> Experiment:
     if kind == "uniform":
         density = Density.uniform(cuboid)
     elif kind == "piecewise_constant":
+        _require("edges" in dens and "mass" in dens, "density.edges and density.mass are required")
         edges = [np.asarray(e, dtype=float) for e in dens["edges"]]
         mass = np.asarray(dens["mass"], dtype=float)
         density = Density.piecewise_constant(cuboid, edges, mass)
@@ -199,6 +202,8 @@ def build_experiment(raw: dict, seed_override: int | None = None) -> Experiment:
     phi.check_exponents(p, q)
 
     _require("signal" in raw and len(raw["signal"]) >= 1, "signal coefficients are required")
+    for key in ("generator", "k", "weight"):
+        _require(all(key in t for t in raw["signal"]), f"signal[].{key} is required")
     entries = [(int(t["generator"]), [int(k) for k in t["k"]], float(t["weight"])) for t in raw["signal"]]
     for i, k, _ in entries:
         _require(0 <= i < phi.r, f"signal generator {i} must lie in [0, {phi.r - 1}]")
@@ -207,7 +212,10 @@ def build_experiment(raw: dict, seed_override: int | None = None) -> Experiment:
     signal = CoefficientGrid.from_entries(phi.r, N, d, entries)
 
     smp = raw.get("samples", {})
-    sizes = [(int(n), int(m)) for n, m in smp.get("sizes", [[5, 5]])]
+    sizes = smp.get("sizes", [[5, 5]])
+    _require(all(isinstance(s, (list, tuple)) and len(s) == 2 for s in sizes),
+             "samples.sizes items must be [n, m] pairs")
+    sizes = [(int(n), int(m)) for n, m in sizes]
     _require(all(n >= 1 and m >= 1 for n, m in sizes), "sample sizes must be positive")
     mode = smp.get("mode", "joint")
     _require(mode in ("joint", "separable"), f"samples.mode must be joint or separable, got {mode!r}")
@@ -308,7 +316,7 @@ def run_table(exp: Experiment) -> ResultTable:
     return ResultTable(rows, exp.hash, exp.seed)
 
 
-def emit_surface(func: TensorFunction | LatticeSpline, grid_spec: dict, path, exp: Experiment | None = None,
+def emit_surface(func: LatticeSpline, grid_spec: dict, path, exp: Experiment | None = None,
                  fmt: str = "csv") -> None:
     """Write the function on a regular grid as (x, y, value) rows.
 
@@ -390,16 +398,12 @@ def probability_sweep(exp: Experiment, nm_list, trials: int,
             "theorem": theorem, "n": n, "m": m, "trials": trials,
             "fraction": summary.fraction,
             "wilson_low": summary.wilson_low, "wilson_high": summary.wilson_high,
-            "probability_raw": _num(rep["probability_raw"]),
+            "probability_raw": _jsonable(rep["probability_raw"]),
             "probability": rep["probability"],
             "stability_certified": exp.stability_certified, "decay_fitted": exp.decay_fitted,
             "config_sha256": exp.hash, "seed": exp.seed,
         })
     return records
-
-
-def _num(v: float):
-    return v if math.isfinite(v) else repr(v)
 
 
 def constants_report(exp: Experiment, selector: str, **extra) -> BoundReport:

@@ -1,11 +1,12 @@
-"""Cuboids, tensor-product functions, coefficient grids and mixed norms.
+"""Cuboids, lattice splines, coefficient grids and mixed norms.
 
-Functions on R x R^d are finite sums of separable terms
-``weight * prod_a factor_a(coordinate_a)`` with piecewise-polynomial
-factors, which covers the generators, the signals and their convolutions
-with box kernels in closed form.  The mixed L^{p,q} norm integrates the
-inner q-norm over the last d axes and the outer p-norm over the first
-axis; quadrature panels are aligned with every factor breakpoint so the
+Functions on R x R^d are lattice splines sum_k c(k) phi(. - k) whose
+generators are finite sums of separable terms ``weight * prod_a
+factor_a(coordinate_a)`` with piecewise-polynomial factors, closed under
+convolution with box kernels; such a sum, a TensorFunction, is the N = 0
+lattice of itself.  The mixed L^{p,q} norm integrates the inner q-norm
+over the last d axes and the outer p-norm over the first axis; quadrature
+panels are aligned with every factor breakpoint so the
 piecewise-polynomial integrands are handled near exactly.
 """
 
@@ -57,115 +58,12 @@ class Cuboid:
         return (np.abs(pts) <= np.array([self.K1] + [self.K2] * self.d)).all(axis=1)
 
 
-def _as_box(region, f: "TensorFunction | None" = None) -> list[tuple[float, float]] | None:
+def _as_box(region) -> list[tuple[float, float]] | None:
     if region is None:
-        return None if f is None else f.support_box()
+        return None
     if isinstance(region, Cuboid):
         return region.box
     return [(float(lo), float(hi)) for lo, hi in region]
-
-
-class TensorFunction:
-    """Finite sum of separable piecewise-polynomial terms on R x R^d."""
-
-    def __init__(self, terms):
-        terms = [(float(w), tuple(fs)) for w, fs in terms]
-        self._ndim = len(terms[0][1]) if terms else 0
-        if any(len(fs) != self._ndim for _, fs in terms):
-            raise ValueError("all terms must have the same number of axis factors")
-        self.terms = tuple((w, fs) for w, fs in terms if w != 0.0 and not any(f.is_zero for f in fs))
-
-    @classmethod
-    def zero(cls, ndim: int = 2) -> "TensorFunction":
-        f = cls([])
-        f._ndim = ndim
-        return f
-
-    @classmethod
-    def separable(cls, factors, weight: float = 1.0) -> "TensorFunction":
-        return cls([(weight, tuple(factors))])
-
-    @property
-    def ndim(self) -> int:
-        return self._ndim
-
-    @property
-    def is_zero(self) -> bool:
-        return len(self.terms) == 0
-
-    # -- geometry -------------------------------------------------------
-
-    def support_box(self) -> list[tuple[float, float]]:
-        """Bounding box of the union of term support boxes."""
-        if self.is_zero:
-            return [(0.0, 0.0)] * max(self._ndim, 1)
-        box = []
-        for a in range(self._ndim):
-            los, his = zip(*(fs[a].support for _, fs in self.terms))
-            box.append((min(los), max(his)))
-        return box
-
-    def axis_breakpoints(self, axis: int) -> np.ndarray:
-        if self.is_zero:
-            return np.empty(0)
-        return np.unique(np.concatenate([fs[axis].breakpoints for _, fs in self.terms]))
-
-    # -- evaluation, through the N = 0 lattice of f ------------------------
-
-    def evaluate(self, points) -> np.ndarray:
-        """Pointwise values (see LatticeSpline.evaluate)."""
-        return LatticeSpline.of(self).evaluate(points)
-
-    def __call__(self, *coords) -> float:
-        return self.evaluate(np.asarray(coords, dtype=float))
-
-    def evaluate_grid(self, axes) -> np.ndarray:
-        """Values on a tensor grid (see LatticeSpline.evaluate_grid)."""
-        return LatticeSpline.of(self).evaluate_grid(axes)
-
-    # -- algebra ----------------------------------------------------------
-
-    def shift(self, offsets) -> "TensorFunction":
-        offs = np.asarray(offsets, dtype=float)
-        return TensorFunction(
-            [(w, tuple(f.shift_scale(o, 1.0) for f, o in zip(fs, offs))) for w, fs in self.terms]
-        ) if self.terms else TensorFunction.zero(self._ndim)
-
-    def __mul__(self, scalar: float) -> "TensorFunction":
-        if scalar == 0 or self.is_zero:
-            return TensorFunction.zero(self._ndim)
-        return TensorFunction([(w * float(scalar), fs) for w, fs in self.terms])
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "TensorFunction":
-        return self * -1.0
-
-    def __add__(self, other: "TensorFunction") -> "TensorFunction":
-        if self.is_zero:
-            return other
-        if other.is_zero:
-            return self
-        if self._ndim != other._ndim:
-            raise ValueError("cannot add tensor functions of different dimensions")
-        return TensorFunction(list(self.terms) + list(other.terms))
-
-    def __sub__(self, other: "TensorFunction") -> "TensorFunction":
-        return self + (-other)
-
-
-def tensor_bspline(degrees, shifts=None, weight: float = 1.0) -> TensorFunction:
-    """Separable product of cardinal B-splines, optionally shifted per axis."""
-    degrees = list(degrees)
-    shifts = [0.0] * len(degrees) if shifts is None else list(shifts)
-    factors = [bspline(n).shift_scale(s, 1.0) for n, s in zip(degrees, shifts)]
-    return TensorFunction.separable(factors, weight)
-
-
-def box_function(bounds, weight: float = 1.0) -> TensorFunction:
-    """weight * indicator of the axis-aligned box given by (lo, hi) pairs."""
-    factors = [PiecewisePoly1D.indicator(lo, hi) for lo, hi in bounds]
-    return TensorFunction.separable(factors, weight)
 
 
 @dataclass(frozen=True)
@@ -409,7 +307,7 @@ class LatticeSpline:
     factor(nodes - k) in evaluate_grid, the local piece coefficients of
     factor(. - k) on every cell in cells (the cell form).  The cost grows
     with the output plus the coefficients, not with their product.  A
-    TensorFunction is the N = 0 lattice of itself (LatticeSpline.of).
+    TensorFunction is the N = 0 lattice of itself.
     """
 
     def __init__(self, generators, c: CoefficientGrid):
@@ -427,11 +325,6 @@ class LatticeSpline:
                       for a in range(self.ndim)]
             self._parts.append((phi, block[np.ix_(*active)], [k - float(c.N) for k in active]))
 
-    @classmethod
-    def of(cls, f) -> "LatticeSpline":
-        """f itself if it is a LatticeSpline; a TensorFunction as its own N = 0 lattice."""
-        return f if isinstance(f, cls) else cls((f,), CoefficientGrid(np.ones((1,) * (f.ndim + 1)), 0))
-
     @property
     def is_zero(self) -> bool:
         return not self._parts
@@ -442,12 +335,14 @@ class LatticeSpline:
                 for phi, _, ks in self._parts for _, fs in phi.terms]
 
     def support_box(self) -> list[tuple[float, float]]:
+        """Bounding box of the shifted terms: factor support ends plus the first and last active shift."""
         if self.is_zero:
             return [(0.0, 0.0)] * self.ndim
         box = []
         for a in range(self.ndim):
-            ends = np.concatenate(self._shifted(a, lambda g: g.support))
-            box.append((float(ends.min()), float(ends.max())))
+            los, his = zip(*((fs[a].support[0] + ks[a][0], fs[a].support[1] + ks[a][-1])
+                             for phi, _, ks in self._parts for _, fs in phi.terms))
+            box.append((float(min(los)), float(max(his))))
         return box
 
     def axis_breakpoints(self, axis: int) -> np.ndarray:
@@ -521,12 +416,95 @@ class LatticeSpline:
         return edges, coeffs.transpose([*range(0, 2 * self.ndim, 2), *range(1, 2 * self.ndim, 2)])
 
 
+class TensorFunction(LatticeSpline):
+    """Finite sum of separable piecewise-polynomial terms on R x R^d.
+
+    The N = 0 lattice of itself: its one generator is itself, with a unit coefficient at shift 0.
+    """
+
+    def __init__(self, terms):
+        terms = [(float(w), tuple(fs)) for w, fs in terms]
+        self.ndim = len(terms[0][1]) if terms else 0
+        if any(len(fs) != self.ndim for _, fs in terms):
+            raise ValueError("all terms must have the same number of axis factors")
+        self.terms = tuple((w, fs) for w, fs in terms if w != 0.0 and not any(f.is_zero for f in fs))
+
+    @classmethod
+    def zero(cls, ndim: int = 2) -> "TensorFunction":
+        f = cls([])
+        f.ndim = ndim
+        return f
+
+    @classmethod
+    def separable(cls, factors, weight: float = 1.0) -> "TensorFunction":
+        return cls([(weight, tuple(factors))])
+
+    @property
+    def generators(self) -> tuple["TensorFunction"]:
+        return (self,)
+
+    @property
+    def coefficients(self) -> CoefficientGrid:
+        return CoefficientGrid(np.ones((1,) * (self.ndim + 1)), 0)
+
+    @property
+    def _parts(self) -> list:
+        return [(self, np.ones((1,) * self.ndim), [np.zeros(1)] * self.ndim)] if self.terms else []
+
+    def __call__(self, *coords) -> float:
+        return self.evaluate(np.asarray(coords, dtype=float))
+
+    # -- algebra ----------------------------------------------------------
+
+    def shift(self, offsets) -> "TensorFunction":
+        offs = np.asarray(offsets, dtype=float)
+        return TensorFunction(
+            [(w, tuple(f.shift_scale(o, 1.0) for f, o in zip(fs, offs))) for w, fs in self.terms]
+        ) if self.terms else TensorFunction.zero(self.ndim)
+
+    def __mul__(self, scalar: float) -> "TensorFunction":
+        if scalar == 0 or self.is_zero:
+            return TensorFunction.zero(self.ndim)
+        return TensorFunction([(w * float(scalar), fs) for w, fs in self.terms])
+
+    __rmul__ = __mul__
+
+    def __neg__(self) -> "TensorFunction":
+        return self * -1.0
+
+    def __add__(self, other: "TensorFunction") -> "TensorFunction":
+        if self.is_zero:
+            return other
+        if other.is_zero:
+            return self
+        if self.ndim != other.ndim:
+            raise ValueError("cannot add tensor functions of different dimensions")
+        return TensorFunction(list(self.terms) + list(other.terms))
+
+    def __sub__(self, other: "TensorFunction") -> "TensorFunction":
+        return self + (-other)
+
+
+def tensor_bspline(degrees, shifts=None, weight: float = 1.0) -> TensorFunction:
+    """Separable product of cardinal B-splines, optionally shifted per axis."""
+    degrees = list(degrees)
+    shifts = [0.0] * len(degrees) if shifts is None else list(shifts)
+    factors = [bspline(n).shift_scale(s, 1.0) for n, s in zip(degrees, shifts)]
+    return TensorFunction.separable(factors, weight)
+
+
+def box_function(bounds, weight: float = 1.0) -> TensorFunction:
+    """weight * indicator of the axis-aligned box given by (lo, hi) pairs."""
+    factors = [PiecewisePoly1D.indicator(lo, hi) for lo, hi in bounds]
+    return TensorFunction.separable(factors, weight)
+
+
 # -- norms ----------------------------------------------------------------
 
 
-def _clip_box(f: TensorFunction, region) -> list[tuple[float, float]] | None:
-    box = _as_box(region, f)
+def _clip_box(f: LatticeSpline, region) -> list[tuple[float, float]] | None:
     sup = f.support_box()
+    box = sup if region is None else _as_box(region)
     out = []
     for (lo, hi), (slo, shi) in zip(box, sup):
         a, b = max(lo, slo), min(hi, shi)
@@ -536,8 +514,8 @@ def _clip_box(f: TensorFunction, region) -> list[tuple[float, float]] | None:
     return out
 
 
-def mixed_norm(f: TensorFunction, p: float, q: float, region=None, quad: QuadratureSpec = DEFAULT_QUAD) -> float:
-    """Mixed norm ( int_x ( int_y |f|^q dy )^{p/q} dx )^{1/p} of f (or a LatticeSpline) over the region.
+def mixed_norm(f: LatticeSpline, p: float, q: float, region=None, quad: QuadratureSpec = DEFAULT_QUAD) -> float:
+    """Mixed norm ( int_x ( int_y |f|^q dy )^{p/q} dx )^{1/p} of f over the region.
 
     region None means the support bounding box, which equals the global
     norm for compactly supported functions.
@@ -563,11 +541,10 @@ SUP_RTOL = 1e-9
 BLOCK_BYTES = 1 << 20
 
 
-def sup_norm(f: TensorFunction, region=None) -> float:
+def sup_norm(f: LatticeSpline, region=None) -> float:
     """Certified upper end of max |f| over the region, within SUP_RTOL of an attained value.
 
-    f (a TensorFunction or a LatticeSpline) is read through its cell form in
-    the Bernstein basis: corner coefficients are values of f, and the
+    f is read through its cell form in the Bernstein basis: corner coefficients are values of f, and the
     largest |coefficient| bounds |f| on its cell (convex hull property).
     Cells whose bound is within SUP_RTOL of the largest |corner| are set
     aside; the rest are halved by de Casteljau along each axis on which
@@ -577,7 +554,7 @@ def sup_norm(f: TensorFunction, region=None) -> float:
     box = _clip_box(f, region)
     if box is None:
         return 0.0
-    edges, coeffs = LatticeSpline.of(f).cells(box)
+    edges, coeffs = f.cells(box)
     ndim = len(edges)
     halving = []
     for a, e in enumerate(edges):

@@ -126,10 +126,6 @@ class AveragingKernel:
 
         return cls(box_function(bounds, weight), region)
 
-    @property
-    def support_box(self) -> list[tuple[float, float]]:
-        return self.psi.support_box()
-
 
 @dataclass(frozen=True)
 class SampleSet:
@@ -162,10 +158,6 @@ class SampleSet:
     def as_grid(self) -> np.ndarray:
         """Points reshaped to (n, m, d+1)."""
         return self.points.reshape(self.n, self.m, -1)
-
-    def point(self, j: int, k: int) -> np.ndarray:
-        """Location for 1-based indices (j, k)."""
-        return self.points[(j - 1) * self.m + (k - 1)]
 
     def to_csv(self, path, header_comment: str | None = None) -> None:
         d = self.points.shape[1] - 1
@@ -233,16 +225,16 @@ def _convolve_factors(f: PiecewisePoly1D, g: PiecewisePoly1D) -> PiecewisePoly1D
     return out
 
 
-def convolve(f: TensorFunction | LatticeSpline, kernel: AveragingKernel) -> TensorFunction | LatticeSpline:
-    """Closed-form f * psi (support: the Minkowski sum); a LatticeSpline convolves its generators only."""
-    if isinstance(f, LatticeSpline):
-        return LatticeSpline(tuple(convolve(g, kernel) for g in f.generators), f.coefficients)
-    terms = [(wf * wg, tuple(_convolve_factors(ff, gf) for ff, gf in zip(ffs, gfs)))
-             for wf, ffs in f.terms for wg, gfs in kernel.psi.terms]
-    return TensorFunction(terms) if terms else TensorFunction.zero(f.ndim or kernel.psi.ndim)
+def convolve(f: LatticeSpline, kernel: AveragingKernel) -> LatticeSpline:
+    """Closed-form f * psi, term by term; a lattice other than a TensorFunction convolves its generators."""
+    if isinstance(f, TensorFunction):
+        terms = [(wf * wg, tuple(_convolve_factors(ff, gf) for ff, gf in zip(ffs, gfs)))
+                 for wf, ffs in f.terms for wg, gfs in kernel.psi.terms]
+        return TensorFunction(terms) if terms else TensorFunction.zero(f.ndim or kernel.psi.ndim)
+    return LatticeSpline(tuple(convolve(g, kernel) for g in f.generators), f.coefficients)
 
 
-def average_sample(f: TensorFunction, kernel: AveragingKernel, point) -> float:
+def average_sample(f: LatticeSpline, kernel: AveragingKernel, point) -> float:
     """(f * psi) at a single location, from the closed-form convolution."""
     return convolve(f, kernel).evaluate(np.asarray(point, dtype=float))
 
@@ -270,26 +262,26 @@ def _abs_segment_integrals(coeffs: np.ndarray, h: np.ndarray) -> np.ndarray:
 
 
 def abs_integral(
-    f: TensorFunction,
+    f: LatticeSpline,
     region=None,
     quad: QuadratureSpec = DEFAULT_QUAD,
     density: Density | None = None,
 ) -> float:
     """Integral of rho * |f| over the region (rho = 1 when density is None).
 
-    f (a TensorFunction or a LatticeSpline) is read through its cell form,
-    split at the density edges too.  The last axis is exact: at each outer
-    node, its outer cells' coefficients times its local powers give every
-    last-axis segment's polynomial, split at its sign changes.  The outer
-    axes use Gauss panels on the cell edges refined 4x, in node blocks that
-    fit BLOCK_BYTES, so memory does not grow with the quadrature tensor.
+    f is read through its cell form, split at the density edges too.  The
+    last axis is exact: at each outer node, its outer cells' coefficients
+    times its local powers give every last-axis segment's polynomial, split
+    at its sign changes.  The outer axes use Gauss panels on the cell edges
+    refined 4x, in node blocks that fit BLOCK_BYTES, so memory does not grow
+    with the quadrature tensor.
     """
     box = _clip_box(f, region if region is not None else (density.region if density else None))
     if box is None:
         return 0.0
 
     last = f.ndim - 1
-    edges, coeffs = LatticeSpline.of(f).cells(box, None if density is None else density.cell_edges)
+    edges, coeffs = f.cells(box, None if density is None else density.cell_edges)
     if density is not None:
         # rho is constant on every cell, and rho |f| = |rho f| there
         mids = np.stack(np.meshgrid(*[0.5 * (e[:-1] + e[1:]) for e in edges], indexing="ij"), axis=-1)
@@ -324,7 +316,7 @@ def abs_integral(
 class AverageSampleStatistic:
     """Precomputed centered statistic Y(f) for one (f, psi, rho) triple."""
 
-    def __init__(self, f: TensorFunction, kernel: AveragingKernel, rho: Density,
+    def __init__(self, f: LatticeSpline, kernel: AveragingKernel, rho: Density,
                  quad: QuadratureSpec = DEFAULT_QUAD):
         self.conv = convolve(f, kernel)
         self.kernel = kernel

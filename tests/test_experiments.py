@@ -88,6 +88,13 @@ def _malformed(name, match, mode=None, density=None, **entry):
     return name, cfg, match
 
 
+def _edited(name, match, edit):
+    """minimal_config after edit(cfg), which changes it in place."""
+    cfg = minimal_config()
+    edit(cfg)
+    return name, cfg, match
+
+
 MALFORMED = [
     _malformed("short_shift", "2 entries", k=[0]),
     _malformed("shift_outside_N", r"\[-1, 1\]", k=[3, 0]),
@@ -96,6 +103,13 @@ MALFORMED = [
     _malformed("separable_needs_uniform", "uniform density", mode="separable",
                density={"kind": "piecewise_constant", "edges": [[-3.0, 0.0, 3.0], [-3.0, 3.0]],
                         "mass": [[0.4], [0.6]]}),
+    _malformed("missing_density_edges", "density.edges",
+               density={"kind": "piecewise_constant", "mass": [[0.4], [0.6]]}),
+    _edited("missing_weight", r"signal\[\]\.weight", lambda cfg: cfg["signal"][0].pop("weight")),
+    _edited("missing_degree", r"bsplines\[\]\.degree",
+            lambda cfg: cfg["generators"]["bsplines"][0].pop("degree")),
+    _edited("list_N", "space.N", lambda cfg: cfg["space"].update(N=[1])),
+    _edited("one_entry_size", r"samples\.sizes", lambda cfg: cfg["samples"].update(sizes=[[5]])),
 ]
 
 
@@ -480,6 +494,15 @@ class TestCli:
         lines = out.read_text().splitlines()
         assert lines[1] == "j,k,x,y1"
         assert len(lines) == 2 + 6
+
+    @pytest.mark.parametrize("command", [["samples"], ["surface", "--which", "recon"]])
+    @pytest.mark.parametrize("counts", [["--n", "0", "--m", "3"], ["--n", "3", "--m", "0"]])
+    def test_zero_sample_counts_exit_2(self, tmp_path, capsys, command, counts):
+        cfg = self._write_config(tmp_path)
+        out = tmp_path / "out"
+        assert main([command[0], "--config", str(cfg), "--out", str(out), *command[1:], *counts]) == 2
+        assert "sample counts must be >= 1" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
     def test_sweep_and_json_determinism(self, tmp_path):
         cfg = self._write_config(tmp_path)

@@ -125,6 +125,45 @@ def test_convolution_keeps_the_coefficients(name, sparse):
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
+def _term_support_box(f):
+    """The oracle: bounding box of the union of f's term support boxes, term by term."""
+    if f.is_zero:
+        return [(0.0, 0.0)] * f.ndim
+    return [(min(fs[a].support[0] for _, fs in f.terms), max(fs[a].support[1] for _, fs in f.terms))
+            for a in range(f.ndim)]
+
+
+def _term_breakpoints(f, axis):
+    """The oracle: every term factor's breakpoints on the axis, sorted and unique."""
+    if f.is_zero:
+        return np.empty(0)
+    return np.unique(np.concatenate([fs[axis].breakpoints for _, fs in f.terms]))
+
+
+@pytest.mark.parametrize("name", CASES + ["zero"])
+def test_a_tensor_function_is_its_own_lattice(name):
+    if name == "zero":
+        f, ck = TensorFunction.zero(2), Cuboid(2.5, 2.5)
+    else:
+        funcs, N, ck = _case(name)
+        f = synthesize(funcs, _delta(funcs, N, 17, sparse=True))
+    unit = CoefficientGrid(np.ones((1,) * (f.ndim + 1)), 0)
+    assert isinstance(f, LatticeSpline)
+    assert len(f.generators) == 1 and f.generators[0] is f
+    assert f.coefficients.N == 0 and np.array_equal(f.coefficients.values, unit.values)
+    assert f.support_box() == _term_support_box(f)
+    for a in range(f.ndim):
+        assert np.array_equal(f.axis_breakpoints(a), _term_breakpoints(f, a))
+    lattice = LatticeSpline((f,), unit)
+    assert sup_norm(f, ck) == sup_norm(lattice, ck)
+    assert abs_integral(f, ck) == abs_integral(lattice, ck)
+    assert mixed_norm(f, 2.0, 3.0, ck) == mixed_norm(lattice, 2.0, 3.0, ck)
+    kernel = AveragingKernel.box([(-0.25, 0.125)] * ck.ndim, ck)
+    axes = [np.linspace(lo, hi, 23 + a) for a, (lo, hi) in enumerate(ck.box)]
+    assert (convolve(f, kernel).evaluate_grid(axes).tobytes()
+            == convolve(lattice, kernel).evaluate_grid(axes).tobytes())
+
+
 def test_p3_random_search_on_a_d2_lattice_is_fast():
     # the expanded search took about 1 s on a 2-core Xeon
     phi = GeneratorSet((tensor_bspline([2, 2, 2]),), 1.4, 3.0, 3.0, 0.1, 1.0)
@@ -217,7 +256,7 @@ def test_cell_form_matches_the_values_inside_each_cell(name):
     delta = _delta(funcs, N, 7)
     rng = np.random.default_rng(9)
     for f in (LatticeSpline(funcs, delta), synthesize(funcs, delta)):
-        edges, coeffs = LatticeSpline.of(f).cells(_clip_box(f, ck))
+        edges, coeffs = f.cells(_clip_box(f, ck))
         points = [e[:-1] + rng.uniform(size=len(e) - 1) * np.diff(e) for e in edges]
         want = f.evaluate_grid(points)
         got = _cell_values(edges, coeffs, points)
