@@ -105,16 +105,11 @@ def _cmd_table(args) -> int:
 
 def _cmd_surface(args) -> int:
     exp = load_config(args.config, args.seed)
-    nx, ny = (int(v) for v in args.grid.lower().split("x"))
+    nx, ny = _size_pair(args.grid, "--grid", "NXxNY")
     box = exp.cuboid.box
     grid_spec = {"x": [box[0][0], box[0][1], nx], "y": [box[1][0], box[1][1], ny]}
-    stem = args.out or "surface"
-    ext = "csv" if args.format == "csv" else "json"
-    wrote = []
-    if args.which in ("f", "both"):
-        path = f"{stem}.f.{ext}"
-        emit_surface(exp.f, grid_spec, path, exp, args.format)
-        wrote.append(path)
+    # draw and solve first, so that a run that fails leaves no partial output
+    surfaces = {"f": exp.f} if args.which in ("f", "both") else {}
     code = 0
     if args.which in ("recon", "both"):
         n = exp.sample_sizes[0][0] if args.n is None else args.n
@@ -123,29 +118,30 @@ def _cmd_surface(args) -> int:
         S = build_sample_matrix(exp.phi, exp.kernel, samples, exp.N)
         try:
             res = solve(S, S.entries @ exp.signal.flatten())
-            recon = LatticeSpline(exp.phi, res.grid)
-            path = f"{stem}.recon.{ext}"
-            emit_surface(recon, grid_spec, path, exp, args.format)
-            wrote.append(path)
+            surfaces["recon"] = LatticeSpline(exp.phi, res.grid)
         except RankDeficientError as exc:
             print(f"reconstruction skipped: {exc}", file=sys.stderr)
             code = 1
-    for path in wrote:
+    stem = args.out or "surface"
+    for name, func in surfaces.items():
+        path = f"{stem}.{name}.{args.format}"
+        emit_surface(func, grid_spec, path, exp, args.format)
         print(f"wrote {path}")
     return code
 
 
-def _parse_nm(text: str) -> list[tuple[int, int]]:
-    out = []
-    for chunk in text.split(","):
-        n, m = chunk.lower().split("x")
-        out.append((int(n), int(m)))
-    return out
+def _size_pair(text: str, flag: str, form: str) -> tuple[int, int]:
+    try:
+        a, b = (int(v) for v in text.lower().split("x"))
+    except ValueError:
+        raise ValueError(f"{flag} takes {form}, got {text!r}") from None
+    return a, b
 
 
 def _cmd_sweep(args) -> int:
     exp = load_config(args.config, args.seed)
-    nm_list = _parse_nm(args.nm) if args.nm else exp.sample_sizes
+    nm_list = ([_size_pair(c, "--nm", "a comma list of NxM") for c in args.nm.split(",")] if args.nm
+               else exp.sample_sizes)
     records = probability_sweep(exp, nm_list, args.trials, args.theorem)
     out = args.out or "sweep.json"
     with open(out, "w", encoding="utf-8") as fh:

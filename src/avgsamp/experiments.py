@@ -63,6 +63,14 @@ def _require(cond: bool, msg: str) -> None:
         raise ConfigError(msg)
 
 
+def _int(value, key: str) -> int:
+    """value as an int; ints and integral floats pass, anything else raises a ConfigError naming key."""
+    if not isinstance(value, bool) and (isinstance(value, (int, np.integer)) or (
+            isinstance(value, (float, np.floating)) and float(value).is_integer())):
+        return int(value)
+    raise ConfigError(f"{key} must be an integer, got {value!r}")
+
+
 def config_hash(raw: dict) -> str:
     """SHA-256 of the canonical JSON form of the configuration."""
     canon = json.dumps(raw, sort_keys=True, separators=(",", ":"))
@@ -140,17 +148,18 @@ def build_experiment(raw: dict, seed_override: int | None = None) -> Experiment:
     _require(isinstance(raw, dict), "config must be a JSON object")
     _require(raw.get("schema") == SCHEMA_VERSION, f"config schema must be {SCHEMA_VERSION}")
     _require("seed" in raw, "config must set an explicit seed (no wall-clock defaults)")
-    seed = int(raw["seed"]) if seed_override is None else int(seed_override)
+    seed = _int(raw["seed"], "seed") if seed_override is None else _int(seed_override, "seed")
 
     sp = raw.get("space", {})
     for key in ("p", "q", "d", "N", "K1", "K2"):
         _require(key in sp, f"space.{key} is required")
         _require(isinstance(sp[key], (int, float)), f"space.{key} must be a number")
-    p, q, d, N = float(sp["p"]), float(sp["q"]), int(sp["d"]), int(sp["N"])
+    p, q, d, N = float(sp["p"]), float(sp["q"]), _int(sp["d"], "space.d"), _int(sp["N"], "space.N")
     cuboid = Cuboid(float(sp["K1"]), float(sp["K2"]), d)
 
     qd = raw.get("quadrature", {})
-    quad = QuadratureSpec(int(qd.get("order", 8)), int(qd.get("refine", 1)))
+    quad = QuadratureSpec(_int(qd.get("order", 8), "quadrature.order"),
+                          _int(qd.get("refine", 1), "quadrature.refine"))
 
     gen = raw.get("generators", {})
     _require("bsplines" in gen and len(gen["bsplines"]) >= 1,
@@ -158,7 +167,7 @@ def build_experiment(raw: dict, seed_override: int | None = None) -> Experiment:
     funcs = []
     for g in gen["bsplines"]:
         _require("degree" in g, "generators.bsplines[].degree is required")
-        degree = int(g["degree"])
+        degree = _int(g["degree"], "generators.bsplines[].degree")
         shift = [float(s) for s in g.get("shift", [0.0] * (d + 1))]
         _require(len(shift) == d + 1, "generator shift must have d+1 entries")
         funcs.append(tensor_bspline([degree] * (d + 1), shift))
@@ -174,8 +183,11 @@ def build_experiment(raw: dict, seed_override: int | None = None) -> Experiment:
 
     kern = raw.get("kernel", {})
     _require("box" in kern, "kernel.box is required")
+    _require(isinstance(kern["box"], (list, tuple)) and len(kern["box"]) == d + 1,
+             "kernel.box must have d+1 intervals")
+    _require(all(isinstance(iv, (list, tuple)) and len(iv) == 2 for iv in kern["box"]),
+             "kernel.box items must be [a, b] pairs")
     bounds = [(float(a), float(b)) for a, b in kern["box"]]
-    _require(len(bounds) == d + 1, "kernel.box must have d+1 intervals")
     kernel = AveragingKernel.box(bounds, cuboid, float(kern.get("weight", 1.0)))
 
     dens = raw.get("density", {"kind": "uniform"})
@@ -195,7 +207,8 @@ def build_experiment(raw: dict, seed_override: int | None = None) -> Experiment:
     stability_estimated = a1_raw is None or a2_raw is None
     stability_certified = a1_raw is None and a2_raw is None and p == q == 2.0
     if stability_estimated:
-        lo, hi = estimate_stability(funcs, p, q, N, int(stab.get("trials", 40)), seed, quad)
+        trials = _int(stab.get("trials", 40), "generators.stability.trials")
+        lo, hi = estimate_stability(funcs, p, q, N, trials, seed, quad)
     alpha1 = lo if a1_raw is None else float(a1_raw)
     alpha2 = hi if a2_raw is None else float(a2_raw)
     phi = GeneratorSet(tuple(funcs), c_val, s1, s2, alpha1, alpha2)
@@ -204,18 +217,20 @@ def build_experiment(raw: dict, seed_override: int | None = None) -> Experiment:
     _require("signal" in raw and len(raw["signal"]) >= 1, "signal coefficients are required")
     for key in ("generator", "k", "weight"):
         _require(all(key in t for t in raw["signal"]), f"signal[].{key} is required")
-    entries = [(int(t["generator"]), [int(k) for k in t["k"]], float(t["weight"])) for t in raw["signal"]]
+    _require(all(isinstance(t["k"], (list, tuple)) and len(t["k"]) == d + 1 for t in raw["signal"]),
+             f"signal[].k must be a list of d+1 = {d + 1} entries")
+    entries = [(_int(t["generator"], "signal[].generator"), [_int(k, "signal[].k") for k in t["k"]],
+                float(t["weight"])) for t in raw["signal"]]
     for i, k, _ in entries:
         _require(0 <= i < phi.r, f"signal generator {i} must lie in [0, {phi.r - 1}]")
-        _require(len(k) == d + 1 and all(abs(v) <= N for v in k),
-                 f"signal shift {k} must have d+1 = {d + 1} entries in [-N, N] = [-{N}, {N}]")
+        _require(all(abs(v) <= N for v in k), f"signal shift {k} must lie in [-N, N] = [-{N}, {N}]")
     signal = CoefficientGrid.from_entries(phi.r, N, d, entries)
 
     smp = raw.get("samples", {})
     sizes = smp.get("sizes", [[5, 5]])
     _require(all(isinstance(s, (list, tuple)) and len(s) == 2 for s in sizes),
              "samples.sizes items must be [n, m] pairs")
-    sizes = [(int(n), int(m)) for n, m in sizes]
+    sizes = [(_int(n, "samples.sizes"), _int(m, "samples.sizes")) for n, m in sizes]
     _require(all(n >= 1 and m >= 1 for n, m in sizes), "sample sizes must be positive")
     mode = smp.get("mode", "joint")
     _require(mode in ("joint", "separable"), f"samples.mode must be joint or separable, got {mode!r}")

@@ -408,7 +408,7 @@ class LatticeSpline:
         def local(a, g, ks):
             # g(. - k) on the cells is g on the cells shifted by -k, in the same local coordinate
             rows = np.zeros((len(edges[a]) - 1, widths[a], len(ks)))
-            rows[:, : g.coeffs.shape[1]] = np.stack([g.resampled(edges[a] - k) for k in ks], axis=-1)
+            rows[:, : g.coeffs.shape[1]] = g.resampled(edges[a] - ks[:, None]).transpose(1, 2, 0)
             return rows.reshape(-1, len(ks))
 
         coeffs = self._contract(local)

@@ -22,16 +22,20 @@ import numpy as np
 MERGE_TOL = 1e-12
 
 
-def _shift_poly(coeffs: np.ndarray, delta: float) -> np.ndarray:
-    """Re-expand p(u) as q(v) with u = v + delta (exact binomial shift)."""
-    n = len(coeffs)
-    out = np.zeros(n)
-    for k in range(n):
-        c = coeffs[k]
-        if c == 0.0:
-            continue
-        for j in range(k + 1):
-            out[j] += c * math.comb(k, j) * delta ** (k - j)
+def _shift_poly(coeffs: np.ndarray, delta: np.ndarray) -> np.ndarray:
+    """Re-expand each row p(u) of coeffs as q(v) with u = v + delta, one delta per row.
+
+    q_j is the sum over k >= j of p_k C(k, j) delta^(k - j), added in increasing k.
+    """
+    width = coeffs.shape[-1]
+    binom = np.array([[math.comb(k, j) for j in range(width)] for k in range(width)], dtype=float)
+    power = np.maximum(np.subtract.outer(np.arange(width), np.arange(width)), 0)
+    # float_power calls the C library's pow, as a scalar ** does; np.power's
+    # SIMD loops can differ from it in the last bit
+    terms = coeffs[..., None] * binom * np.float_power(delta[..., None, None], power)
+    out = np.zeros(coeffs.shape)
+    for k in range(width):
+        out += terms[..., k, :]
     return out
 
 
@@ -98,10 +102,8 @@ class PiecewisePoly1D:
     def __post_init__(self) -> None:
         bp = np.atleast_1d(np.asarray(self.breakpoints, dtype=float))
         cf = np.asarray(self.coeffs, dtype=float)
-        if cf.ndim == 1:
-            cf = cf.reshape(len(bp) - 1, -1) if len(bp) > 1 else cf.reshape(0, 1)
-        if cf.shape[1] == 0:
-            cf = np.zeros((cf.shape[0], 1))
+        if cf.ndim != 2 or cf.shape[1] == 0:
+            raise ValueError("coeffs must have shape (pieces, degree + 1)")
         if len(bp) != cf.shape[0] + 1:
             raise ValueError("piece count must equal breakpoint count - 1")
         if len(bp) > 1 and not np.all(np.diff(bp) > 0):
@@ -172,13 +174,11 @@ class PiecewisePoly1D:
             return PiecewisePoly1D.zero()
         deg = self.coeffs.shape[1]
         out = np.zeros((self.num_pieces, deg + 1))
-        acc = 0.0
-        for i in range(self.num_pieces):
-            out[i, 0] = acc
-            out[i, 1:] = self.coeffs[i] / np.arange(1, deg + 1)
-            h = self.breakpoints[i + 1] - self.breakpoints[i]
-            acc = float(_poly_eval(out[i], np.asarray(h)))
-        return PiecewisePoly1D(self.breakpoints, out, continuity=self.continuity + 1, tail=acc)
+        out[:, 1:] = self.coeffs / np.arange(1, deg + 1)
+        # each piece starts at the sum of the integrals of the pieces before it
+        acc = np.cumsum(_poly_eval(out.T, np.diff(self.breakpoints)))
+        out[1:, 0] = acc[:-1]
+        return PiecewisePoly1D(self.breakpoints, out, continuity=self.continuity + 1, tail=float(acc[-1]))
 
     # -- transforms ----------------------------------------------------
 
@@ -202,26 +202,25 @@ class PiecewisePoly1D:
             raise ValueError("convolve_box requires a compactly supported function")
         if self.is_zero:
             return PiecewisePoly1D.zero()
-        F = self.antiderivative()
         grid = _merge_grids(self.breakpoints + a, self.breakpoints + b)
-        deg = F.coeffs.shape[1]
-        out = np.zeros((len(grid) - 1, deg))
-        for k in range(len(grid) - 1):
-            s = grid[k]
-            mid = 0.5 * (s + grid[k + 1])
-            for offset, sign in ((a, 1.0), (b, -1.0)):
-                out[k] += sign * _local_antideriv_coeffs(F, mid - offset, s - offset, deg)
-        return PiecewisePoly1D(grid, out, continuity=self.continuity + 1)
+        at_a, at_b = self.antiderivative().resampled(grid - np.array([[a], [b]]))
+        return PiecewisePoly1D(grid, at_a - at_b, continuity=self.continuity + 1)
 
-    def resampled(self, grid: np.ndarray) -> np.ndarray:
-        """Local coefficients of f on the cells of grid; each cell must lie in one piece or outside."""
-        deg = max(self.coeffs.shape[1], 1)
-        out = np.zeros((len(grid) - 1, deg))
-        for k in range(len(grid) - 1):
-            mid = 0.5 * (grid[k] + grid[k + 1])
-            idx = np.searchsorted(self.breakpoints, mid, side="right") - 1
-            if 0 <= idx < self.num_pieces:
-                out[k] = _shift_poly(self.coeffs[idx], grid[k] - self.breakpoints[idx])
+    def resampled(self, grid) -> np.ndarray:
+        """Local coefficients of f on the cells of grid, which may carry leading axes.
+
+        Each cell must lie in one piece or outside the support.  The result
+        has grid's leading axes, then one row of coefficients per cell:
+        zero left of the support and tail right of it.
+        """
+        grid = np.asarray(grid, dtype=float)
+        left = grid[..., :-1]
+        idx = np.searchsorted(self.breakpoints, 0.5 * (left + grid[..., 1:]), side="right") - 1
+        inside = (idx >= 0) & (idx < self.num_pieces)
+        out = np.zeros(idx.shape + (self.coeffs.shape[1],))
+        out[idx >= self.num_pieces, 0] = self.tail
+        piece = idx[inside]
+        out[inside] = _shift_poly(self.coeffs[piece], left[inside] - self.breakpoints[piece])
         return out
 
     # -- arithmetic ------------------------------------------------------
@@ -241,45 +240,26 @@ class PiecewisePoly1D:
             return other
         if other.is_zero:
             return self
-        grid = _merge_grids(self.breakpoints, other.breakpoints)
-        ca = self.resampled(grid)
-        cb = other.resampled(grid)
-        width = max(ca.shape[1], cb.shape[1])
-        out = np.zeros((len(grid) - 1, width))
-        out[:, : ca.shape[1]] += ca
-        out[:, : cb.shape[1]] += cb
-        return PiecewisePoly1D(grid, out, continuity=min(self.continuity, other.continuity))
+        grid, ca, cb = _on_common_grid(self, other)
+        return PiecewisePoly1D(grid, ca + cb, continuity=min(self.continuity, other.continuity))
 
     def __sub__(self, other: "PiecewisePoly1D") -> "PiecewisePoly1D":
         return self + (-other)
 
 
-def _local_antideriv_coeffs(F: PiecewisePoly1D, probe: float, base: float, deg: int) -> np.ndarray:
-    """Coefficients of u -> F(u + base) near the point probe, width deg."""
-    out = np.zeros(deg)
-    t0, tM = F.support
-    if probe < t0:
-        return out
-    if probe >= tM:
-        out[0] = F.tail
-        return out
-    idx = int(np.searchsorted(F.breakpoints, probe, side="right") - 1)
-    return _shift_poly(F.coeffs[idx], base - F.breakpoints[idx])
+def _on_common_grid(f: PiecewisePoly1D, g: PiecewisePoly1D) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The merged breakpoint grid and the local coefficients of f and g on it, zero-padded to one width."""
+    grid = _merge_grids(f.breakpoints, g.breakpoints)
+    out = np.zeros((2, len(grid) - 1, max(f.coeffs.shape[1], g.coeffs.shape[1])))
+    for o, h in zip(out, (f, g)):
+        o[:, : h.coeffs.shape[1]] = h.resampled(grid)
+    return grid, out[0], out[1]
 
 
 def coefficient_distance(f: PiecewisePoly1D, g: PiecewisePoly1D) -> float:
     """Max deviation of local coefficients on the merged breakpoint grid."""
-    grid = _merge_grids(f.breakpoints, g.breakpoints)
-    if len(grid) < 2:
-        return 0.0
-    ca = f.resampled(grid)
-    cb = g.resampled(grid)
-    width = max(ca.shape[1], cb.shape[1])
-    a = np.zeros((len(grid) - 1, width))
-    b = np.zeros_like(a)
-    a[:, : ca.shape[1]] = ca
-    b[:, : cb.shape[1]] = cb
-    return float(np.max(np.abs(a - b)))
+    _, ca, cb = _on_common_grid(f, g)
+    return float(np.max(np.abs(ca - cb), initial=0.0))
 
 
 def bspline(n: int) -> PiecewisePoly1D:

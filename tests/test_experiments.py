@@ -110,6 +110,22 @@ MALFORMED = [
             lambda cfg: cfg["generators"]["bsplines"][0].pop("degree")),
     _edited("list_N", "space.N", lambda cfg: cfg["space"].update(N=[1])),
     _edited("one_entry_size", r"samples\.sizes", lambda cfg: cfg["samples"].update(sizes=[[5]])),
+    _edited("fractional_N", "space.N", lambda cfg: cfg["space"].update(N=1.5)),
+    _edited("bool_N", "space.N", lambda cfg: cfg["space"].update(N=True)),
+    _edited("fractional_d", "space.d", lambda cfg: cfg["space"].update(d=1.5)),
+    _malformed("fractional_shift", r"signal\[\]\.k", k=[0.5, 0]),
+    _malformed("scalar_shift", r"signal\[\]\.k", k=0),
+    _malformed("fractional_generator", r"signal\[\]\.generator", generator=0.7),
+    _edited("fractional_degree", r"bsplines\[\]\.degree",
+            lambda cfg: cfg["generators"]["bsplines"][0].update(degree=1.5)),
+    _edited("fractional_size", r"samples\.sizes", lambda cfg: cfg["samples"].update(sizes=[[5.5, 5]])),
+    _edited("fractional_order", r"quadrature\.order", lambda cfg: cfg["quadrature"].update(order=4.5)),
+    _edited("fractional_trials", r"stability\.trials",
+            lambda cfg: cfg["generators"]["stability"].update(trials=2.5)),
+    _edited("fractional_seed", "seed", lambda cfg: cfg.update(seed=1.5)),
+    _edited("string_seed", "seed", lambda cfg: cfg.update(seed="7")),
+    _edited("one_number_box_item", r"kernel\.box", lambda cfg: cfg["kernel"].update(box=[[0.5], [0.5, 1.5]])),
+    _edited("scalar_box_item", r"kernel\.box", lambda cfg: cfg["kernel"].update(box=[0.5, [0.5, 1.5]])),
 ]
 
 
@@ -541,6 +557,19 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "d = 2" in err
         assert not (tmp_path / "surf.f.csv").exists()
+
+    @pytest.mark.parametrize("argv, message", [(["--n", "0", "--grid", "5x5"], "sample counts"),
+                                               (["--grid", "5"], "--grid takes NXxNY")])
+    def test_failing_surface_writes_nothing(self, tmp_path, capsys, argv, message):
+        cfg = self._write_config(tmp_path)
+        assert main(["surface", "--config", str(cfg), "--out", str(tmp_path / "surf"), *argv]) == 2
+        assert message in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == [cfg.name]
+
+    def test_sweep_names_a_malformed_size(self, tmp_path, capsys):
+        cfg = self._write_config(tmp_path)
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "s.json"), "--nm", "5"]) == 2
+        assert "--nm takes a comma list of NxM, got '5'" in capsys.readouterr().err
 
     def test_config_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.json"

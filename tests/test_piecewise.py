@@ -1,10 +1,19 @@
 """Tests for the exact piecewise-polynomial algebra."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from avgsamp.piecewise import PiecewisePoly1D, bspline, coefficient_distance
+from avgsamp.piecewise import (
+    PiecewisePoly1D,
+    _merge_grids,
+    _poly_eval,
+    _shift_poly,
+    bspline,
+    coefficient_distance,
+)
 
 
 def hat(x):
@@ -46,6 +55,65 @@ def per_piece_loop_eval(f, xs):
             acc = acc * u + c
         out[mask] = acc
     return out
+
+
+def scalar_shift_poly(coeffs, delta):
+    """Re-expand one p(u) as q(v) with u = v + delta, one coefficient at a time."""
+    n = len(coeffs)
+    out = np.zeros(n)
+    for k in range(n):
+        c = coeffs[k]
+        if c == 0.0:
+            continue
+        for j in range(k + 1):
+            out[j] += c * math.comb(k, j) * delta ** (k - j)
+    return out
+
+
+def local_coeffs(F, probe, base, width):
+    """Coefficients of u -> F(u + base) near the point probe: zero left of the support, tail right of it."""
+    out = np.zeros(width)
+    t0, tM = F.support
+    if probe < t0:
+        return out
+    if probe >= tM:
+        out[0] = F.tail
+        return out
+    idx = int(np.searchsorted(F.breakpoints, probe, side="right") - 1)
+    return scalar_shift_poly(F.coeffs[idx], base - F.breakpoints[idx])
+
+
+def per_cell_resampled(f, grid):
+    """Local coefficients of f on the cells of a 1-D grid, one cell at a time, read at each midpoint."""
+    width = f.coeffs.shape[1]
+    return np.array([local_coeffs(f, 0.5 * (s + t), s, width) for s, t in zip(grid[:-1], grid[1:])])
+
+
+def per_cell_convolve_box(f, a, b):
+    """Grid and local coefficients of f * box[a, b] as F(x - a) - F(x - b), one cell at a time."""
+    F = per_piece_antiderivative(f)
+    grid = _merge_grids(f.breakpoints + a, f.breakpoints + b)
+    deg = F.coeffs.shape[1]
+    out = np.zeros((len(grid) - 1, deg))
+    for k in range(len(grid) - 1):
+        s = grid[k]
+        mid = 0.5 * (s + grid[k + 1])
+        for offset, sign in ((a, 1.0), (b, -1.0)):
+            out[k] += sign * local_coeffs(F, mid - offset, s - offset, deg)
+    return grid, out
+
+
+def per_piece_antiderivative(f):
+    """Antiderivative of f, integrating one piece at a time from the left."""
+    deg = f.coeffs.shape[1]
+    out = np.zeros((f.num_pieces, deg + 1))
+    acc = 0.0
+    for i in range(f.num_pieces):
+        out[i, 0] = acc
+        out[i, 1:] = f.coeffs[i] / np.arange(1, deg + 1)
+        h = f.breakpoints[i + 1] - f.breakpoints[i]
+        acc = float(_poly_eval(out[i], np.asarray(h)))
+    return PiecewisePoly1D(f.breakpoints, out, continuity=f.continuity + 1, tail=acc)
 
 
 def piecewise_gauss_box_convolution(f, xs, a, b):
@@ -220,6 +288,63 @@ class TestAntiderivative:
         np.testing.assert_allclose(dF(xs), f(xs), atol=1e-12)
 
 
+def oracle_inputs():
+    """B-splines of degree 0..6 and shifted, scaled sums of them."""
+    rng = np.random.default_rng(11)
+    funcs = [bspline(n) for n in range(7)]
+    funcs.append(bspline(1).shift_scale(0.3, 2.0) + bspline(2).shift_scale(-0.7, -1.5))
+    for _ in range(6):
+        f = PiecewisePoly1D.zero()
+        for _ in range(rng.integers(2, 4)):
+            f = f + bspline(int(rng.integers(0, 5))).shift_scale(rng.uniform(-2, 2), rng.uniform(-3, 3))
+        funcs.append(f)
+    return funcs
+
+
+class TestLoopOracles:
+    """The vectorized local-coefficient step against the per-cell loops it replaced, bitwise."""
+
+    @pytest.mark.parametrize("f", oracle_inputs())
+    def test_shift_poly_matches_scalar_rows(self, f):
+        rng = np.random.default_rng(3)
+        for rows in (f.coeffs, f.antiderivative().coeffs):
+            delta = rng.uniform(-3, 3, len(rows))
+            expected = np.array([scalar_shift_poly(c, x) for c, x in zip(rows, delta)])
+            assert np.array_equal(_shift_poly(rows, delta), expected)
+
+    @pytest.mark.parametrize("f", oracle_inputs())
+    def test_antiderivative_matches_per_piece_loop(self, f):
+        F, G = f.antiderivative(), per_piece_antiderivative(f)
+        assert np.array_equal(F.coeffs, G.coeffs) and F.tail == G.tail
+
+    @pytest.mark.parametrize("f", oracle_inputs())
+    def test_resampled_matches_per_cell_loop(self, f):
+        rng = np.random.default_rng(5)
+        for g in (f, f.antiderivative()):
+            lo, hi = g.support
+            grid = _merge_grids(g.breakpoints, rng.uniform(lo - 2, hi + 2, 20))
+            got = g.resampled(grid)
+            assert np.array_equal(got, per_cell_resampled(g, grid))
+            right = grid[:-1] >= hi
+            assert right.any() and np.all(got[right, 0] == g.tail) and not np.any(got[right, 1:])
+
+    @pytest.mark.parametrize("f", oracle_inputs())
+    def test_resampled_on_a_shift_stack_matches_each_shift(self, f):
+        edges = _merge_grids(f.breakpoints, np.linspace(-4.0, 4.0, 13))
+        ks = np.arange(-2.0, 3.0)
+        got = f.resampled(edges - ks[:, None])
+        assert got.shape == (len(ks), len(edges) - 1, f.coeffs.shape[1])
+        assert np.array_equal(got, np.stack([per_cell_resampled(f, edges - k) for k in ks]))
+
+    @pytest.mark.parametrize("f", oracle_inputs())
+    def test_convolve_box_matches_per_cell_loop(self, f):
+        rng = np.random.default_rng(9)
+        for a, width in zip(rng.uniform(-1, 0.5, 3), rng.uniform(0.1, 1.5, 3)):
+            grid, coeffs = per_cell_convolve_box(f, a, a + width)
+            g = f.convolve_box(a, a + width)
+            assert np.array_equal(g.breakpoints, grid) and np.array_equal(g.coeffs, coeffs)
+
+
 class TestShiftScale:
     def test_shifted_quadratic_center(self):
         g = bspline(2).shift_scale(1.0, 1.0)
@@ -261,3 +386,9 @@ class TestArithmetic:
             PiecewisePoly1D(np.array([0.0, 0.0, 1.0]), np.zeros((2, 1)))
         with pytest.raises(ValueError):
             PiecewisePoly1D(np.array([0.0, 1.0]), np.zeros((2, 1)))
+
+    def test_coefficients_must_be_one_row_per_piece(self):
+        with pytest.raises(ValueError):
+            PiecewisePoly1D(np.array([0.0, 1.0]), np.zeros(1))
+        with pytest.raises(ValueError):
+            PiecewisePoly1D(np.array([0.0, 1.0]), np.zeros((1, 0)))
