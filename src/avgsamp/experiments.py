@@ -235,13 +235,18 @@ def build_experiment(raw: dict, seed_override: int | None = None) -> Experiment:
     mode = smp.get("mode", "joint")
     _require(mode in ("joint", "separable"), f"samples.mode must be joint or separable, got {mode!r}")
     _require(mode == "joint" or density.cell_mass.size == 1, "samples.mode separable needs the uniform density")
+    sweep = raw.get("sweep", {})
+    _require(isinstance(sweep, dict), "sweep must be a JSON object")
+    for key in ("n", "m"):
+        if key in sweep:
+            _require(_int(sweep[key], f"sweep.{key}") >= 1, f"sweep.{key} must be positive")
 
     return Experiment(
         raw=raw, seed=seed, p=p, q=q, d=d, N=N, cuboid=cuboid, phi=phi,
         kernel=kernel, density=density, signal=signal, sample_sizes=sizes,
         mode=mode, quad=quad, stability_estimated=stability_estimated,
         stability_certified=stability_certified, decay_fitted=decay_fitted,
-        sweep_defaults=raw.get("sweep", {}),
+        sweep_defaults=sweep,
     )
 
 

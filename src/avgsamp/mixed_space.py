@@ -695,9 +695,11 @@ def estimate_stability(
     Kronecker product of the per-axis (2N+1)^2 Grams G_a, so lambda_min is
     w^2 prod_a lambda_min(G_a), each clamped at 0, and lambda_max likewise;
     no dense Gram is formed.  Other sets take the dense _shift_gram, with
-    its byte guard.  Other exponents return the (min, max) over `trials`
-    seeded random unit-coefficient grids: an upper estimate of the lower
-    constant and a lower estimate of the upper one.
+    its byte guard; eigvalsh resolves its lambda_min only to about
+    side * eps * lambda_max (Weyl), so that margin is subtracted first.
+    Other exponents return the (min, max) over `trials` seeded random
+    unit-coefficient grids: an upper estimate of the lower constant and a
+    lower estimate of the upper one.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -711,7 +713,7 @@ def estimate_stability(
             hi = ww * math.prod(e[1] for e in ends)
         else:
             lam = np.linalg.eigvalsh(_shift_gram(funcs, N, region, quad))
-            lo, hi = lam[0], lam[-1]
+            lo, hi = lam[0] - len(lam) * np.finfo(float).eps * lam[-1], lam[-1]
         return float(np.sqrt(max(lo, 0.0) / len(funcs))), float(np.sqrt(max(hi, 0.0)))
     rng = np.random.default_rng(seed)
     lo, hi = np.inf, 0.0

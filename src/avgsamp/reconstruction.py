@@ -5,8 +5,11 @@ whose (row, column) entry is the convolved generator, shifted by the
 column's lattice offset, evaluated at the row's sample location.  Exact
 recovery on the finite subspace goes through the minimum-norm
 pseudo-inverse of that matrix; the same pseudo-inverse realizes the dual
-functions of the reconstruction formula.  Rank-deficient draws raise (or
-are recorded as failures in trial loops), never silently retried.
+functions of the reconstruction formula.  A separable draw of one
+one-term generator gives a Kronecker product of per-axis matrices, whose
+pseudo-inverse is the product of theirs, so no SVD of the full matrix is
+taken there.  Rank-deficient draws raise (or are recorded as failures in
+trial loops), never silently retried.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
@@ -23,6 +27,8 @@ from .mixed_space import (
     Cuboid,
     GeneratorSet,
     LatticeSpline,
+    TensorFunction,
+    _axis_values,
     _shifted_values,
     estimate_stability,
     lpq_norm,
@@ -67,6 +73,13 @@ class SampleMatrix:
     entries[row, col] = (phi_i * psi)(x_j - k1, y_k - k2) with
     row = (j, k) in row-major order and col = (i, k1, k2) with the shift
     multi-index in lexicographic order.
+
+    kron is (A_x, B_y) for a separable draw of one generator of one
+    tensor term w g_0(x) prod_a g_a(y_a), and None for any other matrix.
+    A_x[j, k1] = w g_0(x_j - k1) at the n distinct x's, and B_y, at the m
+    distinct y's, is the row-wise Khatri-Rao product of the g_a(y_a - k2_a);
+    kron(A_x, B_y) equals entries up to rounding.  factors is that pair, or
+    (entries,): the per-mode matrices whose Kronecker product is entries.
     """
 
     entries: np.ndarray
@@ -74,10 +87,20 @@ class SampleMatrix:
     kernel: AveragingKernel
     samples: SampleSet
     N: int
+    kron: tuple | None = field(default=None, repr=False)
+
+    def __post_init__(self) -> None:
+        if self.kron is not None and self.entries.shape != (
+                math.prod(F.shape[0] for F in self.kron), math.prod(F.shape[1] for F in self.kron)):
+            raise ValueError("the Kronecker factors do not match the entries' shape")
 
     @property
     def shape(self) -> tuple[int, int]:
         return self.entries.shape
+
+    @property
+    def factors(self) -> tuple:
+        return (self.entries,) if self.kron is None else self.kron
 
 
 def build_sample_matrix(phi: GeneratorSet, kernel: AveragingKernel,
@@ -91,7 +114,18 @@ def _sample_matrix(phi: GeneratorSet, kernel: AveragingKernel, convolved,
     """build_sample_matrix from generators already convolved with the kernel."""
     offsets = np.arange(-N, N + 1, dtype=float)
     entries = _shifted_values(convolved, samples.points, [offsets] * phi.ndim)
-    return SampleMatrix(entries, phi, kernel, samples, N)
+    return SampleMatrix(entries, phi, kernel, samples, N, _kron_factors(convolved, samples, offsets))
+
+
+def _kron_factors(convolved, samples: SampleSet, offsets: np.ndarray) -> tuple | None:
+    """SampleMatrix.kron: (A_x, B_y) of a separable draw of one one-term generator, else None."""
+    if samples.mode != "separable" or len(convolved) != 1 or len(convolved[0].terms) != 1:
+        return None
+    (f,), ((_, fs),) = convolved, convolved[0].terms
+    A = _axis_values(f, samples.points[::samples.m], 0, offsets)[:, :, 0]
+    B = _shifted_values((TensorFunction.separable(fs[1:]),), samples.points[:samples.m, 1:],
+                        [offsets] * (f.ndim - 1))
+    return A, B
 
 
 def _full_rank_svd(entries: np.ndarray):
@@ -109,10 +143,32 @@ def _full_rank_svd(entries: np.ndarray):
     return U, sv, Vt, rank
 
 
+def _factored_svd(factors) -> tuple[list, np.ndarray]:
+    """Thin SVD (U, sv, Vt) of each factor, and the singular values of their Kronecker product S.
+
+    S's singular values are the products of the factors' ones, sorted
+    descending and padded with exact zeros to S's min(rows, cols).  The
+    rank rule is _full_rank_svd's: S's largest column norm is the product
+    of the factors' largest ones.  Below full column rank it raises
+    RankDeficientError.  For one factor every value is _full_rank_svd's.
+    """
+    svds = [np.linalg.svd(F, full_matrices=False) for F in factors]
+    rows, cols = math.prod(F.shape[0] for F in factors), math.prod(F.shape[1] for F in factors)
+    products = np.sort(reduce(np.multiply.outer, [s for _, s, _ in svds]).ravel())[::-1]
+    sv = np.zeros(min(rows, cols))
+    sv[:products.size] = products
+    colnorm = math.prod(np.linalg.norm(F, axis=0).max() for F in factors)
+    rank = int(np.sum(sv > RANK_TOL * max(colnorm, 1e-300)))
+    if rank < cols:
+        raise RankDeficientError(rank, cols, sv)
+    return svds, sv
+
+
 def _min_norm_solution(U: np.ndarray, sv: np.ndarray, Vt: np.ndarray,
                        b: np.ndarray) -> np.ndarray:
-    """Minimum-norm least-squares solution from a full-rank thin SVD."""
-    return Vt.T @ ((U.T @ b) / sv)
+    """Minimum-norm least-squares solution from a full-rank thin SVD; b is one
+    right-hand side or a matrix of them, one per column."""
+    return Vt.T @ ((U.T @ b) / (sv if b.ndim == 1 else sv[:, None]))
 
 
 @dataclass
@@ -128,9 +184,11 @@ class LstsqResult:
 def solve(S: SampleMatrix, samples_vec) -> LstsqResult:
     """Minimum-norm least squares: the dual family's coefficients of the samples.
 
-    A numerical rank (see RANK_TOL) below the column count raises
-    RankDeficientError (the reconstruction identity is not guaranteed
-    there).
+    The pseudo-inverse comes from the thin SVDs of S.factors (see
+    dual_family), so a separable draw of a one-term generator never takes
+    the SVD of S itself.  A numerical rank (see RANK_TOL) below the column
+    count raises RankDeficientError (the reconstruction identity is not
+    guaranteed there).  The residual is taken against S.entries.
     """
     b = np.asarray(samples_vec, dtype=float).ravel()
     rows = S.entries.shape[0]
@@ -146,24 +204,31 @@ def solve(S: SampleMatrix, samples_vec) -> LstsqResult:
 class DualFamily:
     """Dual functions realized through the minimum-norm pseudo-inverse.
 
-    U, sv, Vt: the thin SVD of the sampling matrix S, which maps sample
-    values to coefficients; solve takes its coefficients from here.  The
-    dual function for sample (j, k) is the LatticeSpline of that sample's
-    pseudo-inverse column; in the full-rank regime the family reproduces
-    every function of the finite subspace.
+    svds: the thin SVD (U, sv, Vt) of each matrix in S.factors; sv: the
+    singular values of the sampling matrix S, their Kronecker product.  S's
+    pseudo-inverse, which maps sample values to coefficients, is the
+    Kronecker product of the factors' ones: coefficients applies each along
+    its own mode of the sample array, and solve takes its coefficients from
+    there.  The dual function for sample (j, k) is the LatticeSpline of
+    that sample's pseudo-inverse column, the Kronecker product of the
+    factors' columns; S's own singular vectors are never formed.  In the
+    full-rank regime the family reproduces every function of the finite
+    subspace.
     """
 
     S: SampleMatrix
-    U: np.ndarray  # (n*m, columns)
+    svds: list
     sv: np.ndarray
-    Vt: np.ndarray
 
     def _grid(self, flat: np.ndarray) -> CoefficientGrid:
         return CoefficientGrid.from_flat(flat, self.S.phi.r, self.S.N, self.S.phi.d)
 
     def coefficients(self, sample_values) -> CoefficientGrid:
-        vals = np.asarray(sample_values, dtype=float).ravel()
-        return self._grid(_min_norm_solution(self.U, self.sv, self.Vt, vals))
+        # each pass solves along the leading mode and rotates it to the back
+        x = np.asarray(sample_values, dtype=float).ravel()
+        for U, sv, Vt in self.svds:
+            x = _min_norm_solution(U, sv, Vt, x if len(self.svds) == 1 else x.reshape(len(U), -1)).T
+        return self._grid(x.ravel())
 
     def reconstruct(self, sample_values) -> LatticeSpline:
         return LatticeSpline(self.S.phi, self.coefficients(sample_values))
@@ -171,13 +236,15 @@ class DualFamily:
     def function(self, j: int, k: int) -> LatticeSpline:
         """Dual function for the 1-based sample index (j, k)."""
         row = (j - 1) * self.S.samples.m + (k - 1)
-        return LatticeSpline(self.S.phi, self._grid(self.Vt.T @ (self.U[row] / self.sv)))
+        rows = np.unravel_index(row, [U.shape[0] for U, _, _ in self.svds])
+        columns = [Vt.T @ (U[i] / sv) for (U, sv, Vt), i in zip(self.svds, rows)]
+        return LatticeSpline(self.S.phi, self._grid(reduce(np.kron, columns)))
 
 
 def dual_family(S: SampleMatrix) -> DualFamily:
-    """Pseudo-inverse dual family; requires numerically full column rank."""
-    U, sv, Vt, _ = _full_rank_svd(S.entries)
-    return DualFamily(S, U, sv, Vt)
+    """Pseudo-inverse dual family from the thin SVDs of S.factors; requires
+    numerically full column rank (see _factored_svd)."""
+    return DualFamily(S, *_factored_svd(S.factors))
 
 
 @dataclass
@@ -185,7 +252,8 @@ class BetaTildeEstimate:
     """Lower-bound constant of the convolved synthesis system on the cuboid.
 
     certified means the value is the square root of the smallest Gram
-    eigenvalue (p = q = 2, exact up to quadrature) divided by sqrt(r), which
+    eigenvalue (p = q = 2, exact up to quadrature; a dense Gram's is
+    lowered by eigvalsh's error margin) divided by sqrt(r), which
     holds against the block-summed l^{2,2} norm
     CoefficientGrid.seq_mixed_norm (see estimate_stability); for r = 1 it
     is exact.  Uncertified values (the random search for other exponents)

@@ -126,6 +126,8 @@ MALFORMED = [
     _edited("string_seed", "seed", lambda cfg: cfg.update(seed="7")),
     _edited("one_number_box_item", r"kernel\.box", lambda cfg: cfg["kernel"].update(box=[[0.5], [0.5, 1.5]])),
     _edited("scalar_box_item", r"kernel\.box", lambda cfg: cfg["kernel"].update(box=[0.5, [0.5, 1.5]])),
+    _edited("fractional_sweep_n", r"sweep\.n", lambda cfg: cfg.update(sweep={"n": 5.7})),
+    _edited("bool_sweep_m", r"sweep\.m", lambda cfg: cfg.update(sweep={"m": True})),
 ]
 
 

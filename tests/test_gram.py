@@ -7,12 +7,14 @@ count, so it only runs on small cases here.  The dense _shift_gram, in
 turn, is the oracle of the per-axis paths of one-term sets.
 """
 
+import bisect
 import itertools
 import math
 import time
 import tracemalloc
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -23,6 +25,7 @@ from avgsamp.mixed_space import (
     CoefficientGrid,
     Cuboid,
     GeneratorSet,
+    TensorFunction,
     _gram_form,
     _shift_gram,
     _term_grams,
@@ -206,19 +209,70 @@ def test_per_axis_beta_tilde_matches_the_dense_gram(name, weight):
 
 
 def test_dense_sets_keep_their_constants_bytewise():
-    # reprs of the dense path's values, which the per-axis branch must leave untouched
+    # reprs of the dense path's values, which the per-axis branch must leave untouched;
+    # each lower constant has eigvalsh's margin side * eps * lambda_max subtracted
     ck = Cuboid(2.5, 2.5)
     r2 = (tensor_bspline([1, 1]), tensor_bspline([2, 2], [0.5, 0.0]))
     two_terms = (tensor_bspline([1, 2]) + tensor_bspline([2, 1], [0.5, -0.5], weight=0.5),)
-    assert estimate_stability(r2, 2.0, 2.0, 2) == (0.018338194918468914, 1.3336458950157157)
-    assert estimate_stability(r2, 2.0, 2.0, 2, region=ck) == (0.010487572849770749, 1.3234896903116546)
-    assert estimate_stability(two_terms, 2.0, 2.0, 2) == (0.2939859407301543, 1.3989258974181251)
-    assert estimate_stability(two_terms, 2.0, 2.0, 2, region=ck) == (0.27683118829949177, 1.3849798754246694)
+    assert estimate_stability(r2, 2.0, 2.0, 2) == (0.018338194918199713, 1.3336458950157157)
+    assert estimate_stability(r2, 2.0, 2.0, 2, region=ck) == (0.010487572849307179, 1.3234896903116546)
+    assert estimate_stability(two_terms, 2.0, 2.0, 2) == (0.29398594073013584, 1.3989258974181251)
+    assert estimate_stability(two_terms, 2.0, 2.0, 2, region=ck) == (0.27683118829947256, 1.3849798754246694)
     for funcs in (r2, two_terms):
-        assert estimate_stability(funcs, 2.0, 2.0, 2, region=ck) == dense_constants(funcs, 2, ck)
+        lam = np.linalg.eigvalsh(_shift_gram(funcs, 2, ck, DEFAULT_QUAD))
+        want = (math.sqrt(max(lam[0] - len(lam) * np.finfo(float).eps * lam[-1], 0.0) / len(funcs)),
+                math.sqrt(lam[-1]))
+        assert estimate_stability(funcs, 2.0, 2.0, 2, region=ck) == want
     kernel = AveragingKernel.box([(-0.125, 0.125)] * 2, ck)
     phi = GeneratorSet(r2, 1.0, 2.0, 2.0, 0.1, 1.0)
-    assert beta_tilde(phi, kernel, 2, 2.0, 2.0, ck).value == 0.0005940159355767371
+    assert beta_tilde(phi, kernel, 2, 2.0, 2.0, ck).value == 0.0005940159355448607
+
+
+def _mp_axis_gram(g, N, lo, hi):
+    """Gram of g(t - k), |k| <= N, over [lo, hi] at the working mpmath precision.
+
+    Breakpoints, shifts and piece coefficients are exact in mpmath, and
+    Gauss-Legendre is exact on each polynomial panel between shifted
+    breakpoints, so the entries are the float function's true integrals.
+    """
+    bp = [mpmath.mpf(float(b)) for b in g.breakpoints]
+    pieces = [[mpmath.mpf(float(c)) for c in row[::-1]] for row in g.coeffs]
+
+    def value(x):
+        i = bisect.bisect_right(bp, x) - 1
+        return mpmath.polyval(pieces[i], x - bp[i]) if 0 <= i < len(pieces) else mpmath.mpf(0)
+
+    shifts = range(-N, N + 1)
+    G = mpmath.matrix(len(shifts))
+    for a, k in enumerate(shifts):
+        for b, l in enumerate(shifts[a:], start=a):
+            cuts = sorted({lo, hi} | {t + s for t in bp for s in (k, l) if lo < t + s < hi})
+            G[a, b] = G[b, a] = mpmath.quad(lambda t: value(t - k) * value(t - l), cuts,
+                                            method="gauss-legendre")
+    return G
+
+
+def test_dense_lower_constant_is_below_the_40_digit_value():
+    # the convolved one-term function of the per-axis beta_tilde test, written as
+    # two half-weight copies of its term: the same function and Gram, so the
+    # dense branch runs on a Gram whose exact lambda_min is a product of 1-D ones
+    ck = Cuboid(2.0, 1.5, 2)
+    kernel = AveragingKernel.box([(-0.125, 0.25)] + [(-0.25, 0.25)] * 2, ck)
+    f = convolve(ONE_TERM["bspline_123_shifted"], kernel)
+    (w, fs), = f.terms
+    split = TensorFunction([(0.5 * w, fs), (0.5 * w, fs)])
+    lo, hi = estimate_stability((split,), 2.0, 2.0, 2, region=ck)
+    with mpmath.workdps(40):
+        lam = mpmath.mpf(w) ** 2
+        for g, (a, b) in zip(fs, ck.box):
+            lam *= min(mpmath.eigsy(_mp_axis_gram(g, 2, mpmath.mpf(a), mpmath.mpf(b)))[0])
+        exact = float(mpmath.sqrt(lam))
+        assert lo <= exact
+        # the margin is side * eps * lambda_max, with side = 125
+        assert lo ** 2 >= exact ** 2 - 2 * 125 * np.finfo(float).eps * hi ** 2
+        # without the margin eigvalsh's value is 4.2e-13 relative off (low here; the sign is not controlled)
+        lam_dense = np.linalg.eigvalsh(_shift_gram((split,), 2, ck, DEFAULT_QUAD))
+        assert abs(math.sqrt(lam_dense[0]) - exact) > 1e-14 * exact
 
 
 L2_SETS = {

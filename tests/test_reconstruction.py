@@ -1,11 +1,14 @@
 """Tests for matrix assembly, recovery, dual functions and trial loops."""
 
+import hashlib
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
 
+from avgsamp.experiments import build_experiment, load_config, run_table
 from avgsamp.mixed_space import (
     CoefficientGrid,
     Cuboid,
@@ -18,6 +21,8 @@ from avgsamp.mixed_space import (
     tensor_bspline,
 )
 from avgsamp.reconstruction import (
+    RANK_TOL,
+    RECOVERY_TOL,
     RankDeficientError,
     TrialSpec,
     beta_tilde,
@@ -394,3 +399,149 @@ class TestRandomizedRoundTrips:
             assert np.max(np.abs(res.grid.values - c.values)) <= 1e-9
             recovered += 1
         assert recovered >= 8
+
+
+# -- the Kronecker-factored path of separable draws against the dense SVD ----
+
+SCALE_D2 = Path(__file__).resolve().parent.parent / "perfbench" / "configs" / "scale_d2.json"
+EPS = np.finfo(float).eps
+
+
+@pytest.fixture(scope="module")
+def separable_draws(quadratic_setup):
+    """(n, m, S) for 20 seeded separable draws per size: d = 1, N = 2 at 5x5, 7x7,
+    10x10 and 4x10 (n < 2N + 1), and the d = 2, N = 2 scale_d2 set at 12x40 and
+    6x20 (fewer y's than the 25 y-shifts, so deficient)."""
+    _, rho, kernel, phi, _ = quadratic_setup
+    exp = load_config(SCALE_D2)
+    sizes = [(phi, kernel, rho, n, m) for n, m in [(5, 5), (7, 7), (10, 10), (4, 10)]]
+    sizes += [(exp.phi, exp.kernel, exp.density, n, m) for n, m in [(12, 40), (6, 20)]]
+    return [(n, m, build_sample_matrix(ph, ke, draw_samples(rh, n, m, seed, "separable"), 2))
+            for ph, ke, rh, n, m in sizes for seed in range(20)]
+
+
+def factored(S):
+    """(DualFamily or None, rank, singular values) of the factored path."""
+    try:
+        fam = dual_family(S)
+        return fam, S.shape[1], fam.sv
+    except RankDeficientError as exc:
+        return None, exc.rank, exc.singular_values
+
+
+def pinv_tolerance(kappa: float) -> float:
+    """Relative agreement of two pseudo-inverses of a matrix with condition number kappa.
+
+    Each carries about kappa * eps of relative error (Higham, Accuracy and
+    Stability of Numerical Algorithms, ch. 20), so well-conditioned draws
+    agree to 1e-12 and ill-conditioned ones to a multiple of kappa * eps.
+    """
+    return max(1e-12, 32.0 * EPS * kappa)
+
+
+class TestKroneckerFactors:
+    def test_factors_multiply_to_the_entries(self, separable_draws):
+        for n, m, S in separable_draws:
+            A, B = S.factors
+            assert A.shape == (n, 5) and B.shape == (m, S.shape[1] // 5)
+            scale = np.max(np.abs(S.entries))
+            assert np.max(np.abs(np.kron(A, B) - S.entries)) <= 1e-15 * scale
+
+    def test_rank_and_singular_values_match_the_dense_svd(self, separable_draws):
+        near = deficient = 0
+        for n, m, S in separable_draws:
+            dense = np.linalg.svd(S.entries, compute_uv=False)
+            tol = RANK_TOL * np.linalg.norm(S.entries, axis=0).max()
+            # a singular value this close to the tolerance could fall either way
+            near += int(np.any(np.abs(dense - tol) <= 1e-12 * tol))
+            fam, rank, sv = factored(S)
+            assert rank == int(np.sum(dense > tol)), (n, m, near)
+            assert sv.shape == dense.shape
+            assert np.max(np.abs(sv - dense)) <= 1e-13 * dense[0]
+            deficient += fam is None
+        assert near == 0
+        # 5x5 and 7x7 draws include deficient ones; every 4x10 and 6x20 draw is
+        assert 40 < deficient < len(separable_draws)
+
+    def test_coefficients_and_dual_functions_match_the_dense_pseudo_inverse(self, separable_draws):
+        full = 0
+        for n, m, S in separable_draws:
+            fam, _, _ = factored(S)
+            if fam is None:
+                continue
+            full += 1
+            U, sv, Vt = np.linalg.svd(S.entries, full_matrices=False)
+            P = Vt.T @ (U.T / sv[:, None])
+            tol = pinv_tolerance(sv[0] / sv[-1])
+            b = np.random.default_rng(n * m).standard_normal(n * m)
+            want = P @ b
+            got = fam.coefficients(b).flatten()
+            assert np.max(np.abs(got - want)) <= tol * np.max(np.abs(want))
+            for j, k in [(1, 1), (2, 3), (n, m)]:
+                col = fam.function(j, k).coefficients.flatten()
+                assert np.max(np.abs(col - P[:, (j - 1) * m + k - 1])) <= tol * np.max(np.abs(P))
+            assert np.array_equal(solve(S, b).grid.values, fam.coefficients(b).values)
+        assert full >= 40
+
+    def test_short_factor_reads_as_exactly_rank_deficient(self, quadratic_setup):
+        _, rho, kernel, phi, _ = quadratic_setup
+        for n, m in [(4, 10), (2, 3)]:  # a tall S with a short x-factor, and a short S
+            S = build_sample_matrix(phi, kernel, draw_samples(rho, n, m, 5, "separable"), 2)
+            with pytest.raises(RankDeficientError) as err:
+                solve(S, np.zeros(n * m))
+            assert err.value.rank <= 4 * min(m, 5) < 25
+            assert conditioning(err.value.singular_values, 25) == (0.0, math.inf)
+
+    def test_other_matrices_keep_one_factor_and_their_bytes(self, quadratic_setup):
+        _, rho, kernel, _, _ = quadratic_setup
+        # (set, N, mode, n, m) -> sha256 prefixes of solve's and function(2, 3)'s
+        # coefficient bytes, the residual and sigma_min, as the dense SVD gave them
+        pinned = {
+            "joint": ((tensor_bspline([2, 2]),), 2, "joint", 6, 7,
+                      ("66e7f5fb4420159e", "5ecdd649790671f4", 3.318216149832241, 0.000531300203438449)),
+            "r2": ((tensor_bspline([1, 1]), tensor_bspline([2, 2], [0.5, 0.0])), 1, "separable", 6, 6,
+                   ("e2cda3c0cafdf739", "2cfa0682602db475", 4.065718195709673, 0.0005579085340051359)),
+            "two_terms": ((tensor_bspline([1, 2]) + tensor_bspline([2, 1], [0.5, -0.5], weight=0.5),),
+                          1, "separable", 5, 5,
+                          ("a4b5533502daab33", "cfb317ca17cec1fa", 2.8336487997148705, 0.0013754277504164194)),
+        }
+
+        def digest(a):
+            return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()[:16]
+
+        for name, (funcs, N, mode, n, m, want) in pinned.items():
+            phi = GeneratorSet(funcs, 1.0, 2, 2, 0.1, 1.0)
+            S = build_sample_matrix(phi, kernel, draw_samples(rho, n, m, 47, mode), N)
+            assert S.kron is None and len(S.factors) == 1 and S.factors[0] is S.entries, name
+            res = solve(S, np.random.default_rng(48).standard_normal(n * m))
+            got = (digest(res.grid.values), digest(dual_family(S).function(2, 3).coefficients.values),
+                   res.residual, float(res.singular_values[-1]))
+            assert got == want, name
+
+    def test_stale_factors_are_refused(self, quadratic_setup):
+        import dataclasses
+
+        _, rho, kernel, phi, _ = quadratic_setup
+        S = build_sample_matrix(phi, kernel, draw_samples(rho, 6, 6, 3, "separable"), 2)
+        with pytest.raises(ValueError, match="Kronecker factors"):
+            dataclasses.replace(S, entries=S.entries[:30])
+
+
+def test_separable_tables_never_take_a_dense_svd(monkeypatch, config_dir):
+    dense_svd = np.linalg.svd
+
+    def guarded(a, *args, **kwargs):
+        if np.shape(a)[-2] > 1000:
+            raise AssertionError(f"dense SVD of a {np.shape(a)} matrix")
+        return dense_svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", guarded)
+    with pytest.raises(AssertionError, match="dense SVD"):
+        np.linalg.svd(np.zeros((1001, 2)))
+    raw = load_config(config_dir / "quadratic_bspline.json").raw
+    d1 = build_experiment(dict(raw, samples={"sizes": [[40, 40]], "mode": "separable"}))
+    for exp in (load_config(SCALE_D2), d1):
+        (row,) = run_table(exp).rows
+        assert row.n * row.m > 1000
+        assert not row.rank_deficient and row.rank == exp.signal.size
+        assert max(row.sup_error, row.l1_error, row.l2_error) <= RECOVERY_TOL

@@ -1,7 +1,8 @@
 """The batched Monte Carlo trial loop against the plain per-trial loop.
 
 The reference draws each trial, builds its sample matrix (convolving the
-generators again), takes the sample values as S c and solves it on its own.  empirical_success must give
+generators again), takes the sample values as S c and solves it on its own
+with a dense SVD of S.  empirical_success must give
 the same records, compared with float equality: hoisting and batching
 change the order in which the work is done, not the arithmetic.
 """
@@ -29,9 +30,10 @@ from avgsamp.reconstruction import (
     TrialRecord,
     TrialSpec,
     _batch_size,
+    _full_rank_svd,
+    _min_norm_solution,
     build_sample_matrix,
     empirical_success,
-    solve,
 )
 from avgsamp.sampling import AveragingKernel, Density, convolve, draw_samples
 
@@ -55,9 +57,9 @@ def reference_records(spec: TrialSpec, trials: int, seed: int) -> list[TrialReco
             smin = float(sv[-1]) if rows >= cols else 0.0
             cond = float(sv[0]) / smin if smin > 0.0 else math.inf
             try:
-                res = solve(S, values)
-                err = float(np.max(np.abs(res.grid.values - spec.coeffs.values)))
-                rec = TrialRecord(t, tseed, err <= RECOVERY_TOL, res.rank, False, err,
+                x = _min_norm_solution(*_full_rank_svd(S.entries)[:3], values)
+                err = float(np.max(np.abs(x - spec.coeffs.flatten())))
+                rec = TrialRecord(t, tseed, err <= RECOVERY_TOL, cols, False, err,
                                   smin, cond)
             except RankDeficientError as exc:
                 rec = TrialRecord(t, tseed, False, exc.rank, True, math.inf, smin, cond)
