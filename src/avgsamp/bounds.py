@@ -50,7 +50,7 @@ class SpaceParams:
             raise ValueError("require d >= 1, r >= 1, N >= 0")
         for name in ("K1", "K2", "alpha1", "alpha2", "decay_c", "s1", "s2",
                      "rho_lower", "rho_upper", "psi_l11"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
         if self.alpha1 > self.alpha2:
             raise ValueError("alpha1 must not exceed alpha2")
@@ -418,8 +418,8 @@ def reconstruction_report(params: SpaceParams, gamma: float, beta_tilde: float,
     """
     if not 0.0 < gamma < 1.0:
         raise ValueError("gamma must lie in (0, 1)")
-    if beta_tilde <= 0:
-        raise ValueError("beta_tilde must be positive")
+    if not 0.0 < beta_tilde < math.inf:
+        raise ValueError("beta_tilde must be positive and finite")
     cs = c_star(params)
     u = (gamma * params.rho_lower
          * (beta_tilde / (params.alpha2 * cs) / params.psi_l11) ** (params.p * params.q))

@@ -71,6 +71,14 @@ def _int(value, key: str) -> int:
     raise ConfigError(f"{key} must be an integer, got {value!r}")
 
 
+def _float(value, key: str) -> float:
+    """value as a float; finite numbers pass, anything else (NaN and infinities
+    included, which Python's json reads) raises a ConfigError naming key."""
+    if not isinstance(value, bool) and isinstance(value, (int, float)) and math.isfinite(value):
+        return float(value)
+    raise ConfigError(f"{key} must be a finite number, got {value!r}")
+
+
 def config_hash(raw: dict) -> str:
     """SHA-256 of the canonical JSON form of the configuration."""
     canon = json.dumps(raw, sort_keys=True, separators=(",", ":"))
@@ -153,9 +161,9 @@ def build_experiment(raw: dict, seed_override: int | None = None) -> Experiment:
     sp = raw.get("space", {})
     for key in ("p", "q", "d", "N", "K1", "K2"):
         _require(key in sp, f"space.{key} is required")
-        _require(isinstance(sp[key], (int, float)), f"space.{key} must be a number")
-    p, q, d, N = float(sp["p"]), float(sp["q"]), _int(sp["d"], "space.d"), _int(sp["N"], "space.N")
-    cuboid = Cuboid(float(sp["K1"]), float(sp["K2"]), d)
+    p, q = _float(sp["p"], "space.p"), _float(sp["q"], "space.q")
+    d, N = _int(sp["d"], "space.d"), _int(sp["N"], "space.N")
+    cuboid = Cuboid(_float(sp["K1"], "space.K1"), _float(sp["K2"], "space.K2"), d)
 
     qd = raw.get("quadrature", {})
     quad = QuadratureSpec(_int(qd.get("order", 8), "quadrature.order"),
@@ -168,18 +176,18 @@ def build_experiment(raw: dict, seed_override: int | None = None) -> Experiment:
     for g in gen["bsplines"]:
         _require("degree" in g, "generators.bsplines[].degree is required")
         degree = _int(g["degree"], "generators.bsplines[].degree")
-        shift = [float(s) for s in g.get("shift", [0.0] * (d + 1))]
+        shift = [_float(s, "generators.bsplines[].shift") for s in g.get("shift", [0.0] * (d + 1))]
         _require(len(shift) == d + 1, "generator shift must have d+1 entries")
         funcs.append(tensor_bspline([degree] * (d + 1), shift))
     decay = gen.get("decay", {})
-    s1 = float(decay.get("s1", 2.0))
-    s2 = float(decay.get("s2", 2.0))
+    s1 = _float(decay.get("s1", 2.0), "generators.decay.s1")
+    s2 = _float(decay.get("s2", 2.0), "generators.decay.s2")
     c_raw = decay.get("c")
     decay_fitted = c_raw is None
     if decay_fitted:
         c_val = max(decay_constant(g, s1, s2) for g in funcs)
     else:
-        c_val = float(c_raw)
+        c_val = _float(c_raw, "generators.decay.c")
 
     kern = raw.get("kernel", {})
     _require("box" in kern, "kernel.box is required")
@@ -187,8 +195,8 @@ def build_experiment(raw: dict, seed_override: int | None = None) -> Experiment:
              "kernel.box must have d+1 intervals")
     _require(all(isinstance(iv, (list, tuple)) and len(iv) == 2 for iv in kern["box"]),
              "kernel.box items must be [a, b] pairs")
-    bounds = [(float(a), float(b)) for a, b in kern["box"]]
-    kernel = AveragingKernel.box(bounds, cuboid, float(kern.get("weight", 1.0)))
+    bounds = [(_float(a, "kernel.box"), _float(b, "kernel.box")) for a, b in kern["box"]]
+    kernel = AveragingKernel.box(bounds, cuboid, _float(kern.get("weight", 1.0), "kernel.weight"))
 
     dens = raw.get("density", {"kind": "uniform"})
     kind = dens.get("kind", "uniform")
@@ -198,6 +206,8 @@ def build_experiment(raw: dict, seed_override: int | None = None) -> Experiment:
         _require("edges" in dens and "mass" in dens, "density.edges and density.mass are required")
         edges = [np.asarray(e, dtype=float) for e in dens["edges"]]
         mass = np.asarray(dens["mass"], dtype=float)
+        _require(all(np.isfinite(e).all() for e in edges) and np.isfinite(mass).all(),
+                 "density.edges and density.mass must be finite numbers")
         density = Density.piecewise_constant(cuboid, edges, mass)
     else:
         raise ConfigError(f"unknown density kind {kind!r}")
@@ -209,8 +219,8 @@ def build_experiment(raw: dict, seed_override: int | None = None) -> Experiment:
     if stability_estimated:
         trials = _int(stab.get("trials", 40), "generators.stability.trials")
         lo, hi = estimate_stability(funcs, p, q, N, trials, seed, quad)
-    alpha1 = lo if a1_raw is None else float(a1_raw)
-    alpha2 = hi if a2_raw is None else float(a2_raw)
+    alpha1 = lo if a1_raw is None else _float(a1_raw, "generators.stability.alpha1")
+    alpha2 = hi if a2_raw is None else _float(a2_raw, "generators.stability.alpha2")
     phi = GeneratorSet(tuple(funcs), c_val, s1, s2, alpha1, alpha2)
     phi.check_exponents(p, q)
 
@@ -220,7 +230,7 @@ def build_experiment(raw: dict, seed_override: int | None = None) -> Experiment:
     _require(all(isinstance(t["k"], (list, tuple)) and len(t["k"]) == d + 1 for t in raw["signal"]),
              f"signal[].k must be a list of d+1 = {d + 1} entries")
     entries = [(_int(t["generator"], "signal[].generator"), [_int(k, "signal[].k") for k in t["k"]],
-                float(t["weight"])) for t in raw["signal"]]
+                _float(t["weight"], "signal[].weight")) for t in raw["signal"]]
     for i, k, _ in entries:
         _require(0 <= i < phi.r, f"signal generator {i} must lie in [0, {phi.r - 1}]")
         _require(all(abs(v) <= N for v in k), f"signal shift {k} must lie in [-N, N] = [-{N}, {N}]")
@@ -240,6 +250,9 @@ def build_experiment(raw: dict, seed_override: int | None = None) -> Experiment:
     for key in ("n", "m"):
         if key in sweep:
             _require(_int(sweep[key], f"sweep.{key}") >= 1, f"sweep.{key} must be positive")
+    for key in ("gamma", "omega", "mu", "eta", "delta", "eps", "beta_tilde"):
+        if key in sweep:
+            _float(sweep[key], f"sweep.{key}")
 
     return Experiment(
         raw=raw, seed=seed, p=p, q=q, d=d, N=N, cuboid=cuboid, phi=phi,
@@ -438,8 +451,8 @@ def constants_report(exp: Experiment, selector: str, **extra) -> BoundReport:
     defaults = dict(exp.sweep_defaults)
     defaults.update({k: v for k, v in extra.items() if v is not None})
     n, m = exp.sample_sizes[0]
-    n = int(defaults.get("n", n))
-    m = int(defaults.get("m", m))
+    n, m = _int(defaults.get("n", n), "n"), _int(defaults.get("m", m), "m")
+    _require(n >= 1 and m >= 1, f"sample counts n and m must be >= 1, got n = {n}, m = {m}")
     gamma = float(defaults.get("gamma", 0.5))
     if selector == "omega":
         omega = float(defaults.get("omega", exp.kernel.l11_norm))

@@ -33,7 +33,7 @@ class Cuboid:
     d: int = 1
 
     def __post_init__(self) -> None:
-        if self.K1 <= 0 or self.K2 <= 0:
+        if not (self.K1 > 0 and self.K2 > 0):
             raise ValueError("cuboid half-widths must be positive")
         if self.d < 1:
             raise ValueError("dimension d must be >= 1")
@@ -89,7 +89,7 @@ class GeneratorSet:
             raise ValueError("at least one generator is required")
         object.__setattr__(self, "generators", tuple(self.generators))
         for name in ("decay_c", "decay_s1", "decay_s2", "alpha1", "alpha2"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
         if self.alpha1 > self.alpha2:
             raise ValueError("alpha1 must not exceed alpha2")
@@ -674,6 +674,16 @@ def _gram_form(term_grams, c: CoefficientGrid) -> float:
     return total
 
 
+def _eigen_ends(G: np.ndarray) -> tuple[float, float]:
+    """(lambda_min - side * eps * lambda_max, lambda_max) of a symmetric matrix.
+
+    eigvalsh resolves each eigenvalue only to about side * eps * lambda_max
+    (Weyl), so that margin makes the lower end safe to certify.
+    """
+    lam = np.linalg.eigvalsh(G)
+    return lam[0] - len(lam) * np.finfo(float).eps * lam[-1], lam[-1]
+
+
 def estimate_stability(
     generators,
     p: float,
@@ -695,8 +705,8 @@ def estimate_stability(
     Kronecker product of the per-axis (2N+1)^2 Grams G_a, so lambda_min is
     w^2 prod_a lambda_min(G_a), each clamped at 0, and lambda_max likewise;
     no dense Gram is formed.  Other sets take the dense _shift_gram, with
-    its byte guard; eigvalsh resolves its lambda_min only to about
-    side * eps * lambda_max (Weyl), so that margin is subtracted first.
+    its byte guard.  Every lambda_min, per-axis or dense, is lowered by
+    eigvalsh's error margin first (see _eigen_ends).
     Other exponents return the (min, max) over `trials` seeded random
     unit-coefficient grids: an upper estimate of the lower constant and a
     lower estimate of the upper one.
@@ -708,12 +718,11 @@ def estimate_stability(
         if len(funcs) == 1 and len(funcs[0].terms) == 1:
             # G = w^2 kron_a G_a, whose extreme eigenvalues are products of the per-axis ones
             (_, _, ww, grams), = _term_grams(funcs, N, region, quad)
-            ends = [np.linalg.eigvalsh(G)[[0, -1]] for G in grams]
+            ends = [_eigen_ends(G) for G in grams]
             lo = ww * math.prod(max(e[0], 0.0) for e in ends)
             hi = ww * math.prod(e[1] for e in ends)
         else:
-            lam = np.linalg.eigvalsh(_shift_gram(funcs, N, region, quad))
-            lo, hi = lam[0] - len(lam) * np.finfo(float).eps * lam[-1], lam[-1]
+            lo, hi = _eigen_ends(_shift_gram(funcs, N, region, quad))
         return float(np.sqrt(max(lo, 0.0) / len(funcs))), float(np.sqrt(max(hi, 0.0)))
     rng = np.random.default_rng(seed)
     lo, hi = np.inf, 0.0

@@ -128,40 +128,25 @@ def _kron_factors(convolved, samples: SampleSet, offsets: np.ndarray) -> tuple |
     return A, B
 
 
-def _full_rank_svd(entries: np.ndarray):
-    """Thin SVD (U, sv, Vt) and numerical rank of one matrix or a stack of them.
+def _factored_svd(factors) -> tuple[list, np.ndarray, np.ndarray]:
+    """The one SVD step: thin SVDs of the factors of S, S's singular values and numerical rank.
 
-    The rank counts singular values above RANK_TOL times the matrix's
-    largest column norm.  A single matrix below full column rank raises
-    RankDeficientError; for a stack the caller reads each matrix's rank.
-    """
-    U, sv, Vt = np.linalg.svd(entries, full_matrices=False)
-    tol = RANK_TOL * np.maximum(np.linalg.norm(entries, axis=-2).max(axis=-1), 1e-300)
-    rank = np.sum(sv > tol[..., None], axis=-1)
-    if entries.ndim == 2 and rank < entries.shape[1]:
-        raise RankDeficientError(int(rank), entries.shape[1], sv)
-    return U, sv, Vt, rank
-
-
-def _factored_svd(factors) -> tuple[list, np.ndarray]:
-    """Thin SVD (U, sv, Vt) of each factor, and the singular values of their Kronecker product S.
-
-    S's singular values are the products of the factors' ones, sorted
-    descending and padded with exact zeros to S's min(rows, cols).  The
-    rank rule is _full_rank_svd's: S's largest column norm is the product
-    of the factors' largest ones.  Below full column rank it raises
-    RankDeficientError.  For one factor every value is _full_rank_svd's.
+    S is the Kronecker product of the factors; each factor may carry the
+    same leading stack axes, one S per index.  svds holds each factor's
+    thin SVD (U, sv, Vt).  S's singular values are the products of the
+    factors' ones, sorted descending and padded with exact zeros to S's
+    min(rows, cols).  The rank counts those above RANK_TOL times S's largest
+    column norm, the product of the factors' largest ones.  Nothing raises
+    here: callers compare the rank with the column count.
     """
     svds = [np.linalg.svd(F, full_matrices=False) for F in factors]
-    rows, cols = math.prod(F.shape[0] for F in factors), math.prod(F.shape[1] for F in factors)
-    products = np.sort(reduce(np.multiply.outer, [s for _, s, _ in svds]).ravel())[::-1]
-    sv = np.zeros(min(rows, cols))
-    sv[:products.size] = products
-    colnorm = math.prod(np.linalg.norm(F, axis=0).max() for F in factors)
-    rank = int(np.sum(sv > RANK_TOL * max(colnorm, 1e-300)))
-    if rank < cols:
-        raise RankDeficientError(rank, cols, sv)
-    return svds, sv
+    rows, cols = math.prod(F.shape[-2] for F in factors), math.prod(F.shape[-1] for F in factors)
+    products = reduce(lambda a, b: (a[..., :, None] * b[..., None, :]).reshape(*b.shape[:-1], -1),
+                      [s for _, s, _ in svds])
+    sv = np.zeros(products.shape[:-1] + (min(rows, cols),))
+    sv[..., :products.shape[-1]] = np.sort(products, axis=-1)[..., ::-1]
+    colnorm = math.prod(np.linalg.norm(F, axis=-2).max(axis=-1) for F in factors)
+    return svds, sv, np.sum(sv > RANK_TOL * np.maximum(colnorm, 1e-300)[..., None], axis=-1)
 
 
 def _min_norm_solution(U: np.ndarray, sv: np.ndarray, Vt: np.ndarray,
@@ -234,17 +219,23 @@ class DualFamily:
         return LatticeSpline(self.S.phi, self.coefficients(sample_values))
 
     def function(self, j: int, k: int) -> LatticeSpline:
-        """Dual function for the 1-based sample index (j, k)."""
-        row = (j - 1) * self.S.samples.m + (k - 1)
+        """Dual function for the 1-based sample index (j, k), 1 <= j <= n and 1 <= k <= m."""
+        n, m = self.S.samples.n, self.S.samples.m
+        if not (1 <= j <= n and 1 <= k <= m):
+            raise IndexError(f"sample index ({j}, {k}) outside [1, {n}] x [1, {m}]")
+        row = (j - 1) * m + (k - 1)
         rows = np.unravel_index(row, [U.shape[0] for U, _, _ in self.svds])
         columns = [Vt.T @ (U[i] / sv) for (U, sv, Vt), i in zip(self.svds, rows)]
         return LatticeSpline(self.S.phi, self._grid(reduce(np.kron, columns)))
 
 
 def dual_family(S: SampleMatrix) -> DualFamily:
-    """Pseudo-inverse dual family from the thin SVDs of S.factors; requires
-    numerically full column rank (see _factored_svd)."""
-    return DualFamily(S, *_factored_svd(S.factors))
+    """Pseudo-inverse dual family from the thin SVDs of S.factors; the one place
+    that raises RankDeficientError, when _factored_svd's rank is below S's columns."""
+    svds, sv, rank = _factored_svd(S.factors)
+    if rank < S.shape[1]:
+        raise RankDeficientError(int(rank), S.shape[1], sv)
+    return DualFamily(S, svds, sv)
 
 
 @dataclass
@@ -252,8 +243,8 @@ class BetaTildeEstimate:
     """Lower-bound constant of the convolved synthesis system on the cuboid.
 
     certified means the value is the square root of the smallest Gram
-    eigenvalue (p = q = 2, exact up to quadrature; a dense Gram's is
-    lowered by eigvalsh's error margin) divided by sqrt(r), which
+    eigenvalue (p = q = 2, exact up to quadrature, lowered by eigvalsh's
+    error margin, per axis or dense) divided by sqrt(r), which
     holds against the block-summed l^{2,2} norm
     CoefficientGrid.seq_mixed_norm (see estimate_stability); for r = 1 it
     is exact.  Uncertified values (the random search for other exponents)
@@ -429,9 +420,9 @@ def empirical_success(spec: TrialSpec, trials: int, seed: int,
     theorem constants themselves, and raise ValueError without spec.bounds.
     Per-trial seeds derive from the master seed; identical inputs
     reproduce identical records.  Each trial draws its own samples; the
-    draws of a batch of trials are then evaluated together and their
-    sample matrices decomposed by one stacked SVD, so memory stays bounded
-    by TRIAL_BATCH_BYTES whatever `trials` is.
+    draws of a batch are then evaluated together and their dense sample
+    matrices take solve's SVD step and rank rule, _factored_svd, as one
+    stack, so memory stays bounded by TRIAL_BATCH_BYTES whatever `trials` is.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -462,7 +453,7 @@ def empirical_success(spec: TrialSpec, trials: int, seed: int,
         if recovery:
             stack = _shifted_values(conv.generators, points, shifts).reshape(len(seeds), rows, cols)
             values = stack @ target
-            U, sv, Vt, ranks = _full_rank_svd(stack)
+            ((U, _, Vt),), sv, ranks = _factored_svd((stack,))
         else:
             values = conv.evaluate(points).reshape(len(seeds), rows)
         for b, tseed in enumerate(seeds):

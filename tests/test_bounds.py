@@ -468,6 +468,11 @@ class TestReconstructionProbability:
         with pytest.raises(ValueError):
             reconstruction_report(base_params(), 1.0, 0.1, 5, 5)
 
+    @pytest.mark.parametrize("bt", [math.nan, math.inf, -math.inf])
+    def test_non_finite_beta_tilde_rejected(self, bt):
+        with pytest.raises(ValueError, match="beta_tilde must be positive and finite"):
+            reconstruction_report(base_params(), 0.5, bt, 5, 5)
+
 
 TAIL_KEYS = {"c_star", "A1", "log_A1", "beta1", "A2", "log_A2", "beta2",
              "log_term1", "log_term2", "probability_raw", "probability", "n", "m", "nm"}
@@ -536,6 +541,12 @@ class TestSpaceParams:
     def test_exponent_range(self):
         with pytest.raises(ValueError):
             base_params(p=1.0)
+
+    @pytest.mark.parametrize("name", ["K1", "K2", "alpha1", "alpha2", "decay_c", "s1", "s2",
+                                      "rho_lower", "rho_upper", "psi_l11"])
+    def test_nan_rejected(self, name):
+        with pytest.raises(ValueError, match=f"{name} must be positive"):
+            base_params(**{name: math.nan})
 
     def test_report_serializes(self):
         rep = omega_class_report(base_params(), 0.5, 0.05, 5, 5)

@@ -128,6 +128,23 @@ MALFORMED = [
     _edited("scalar_box_item", r"kernel\.box", lambda cfg: cfg["kernel"].update(box=[0.5, [0.5, 1.5]])),
     _edited("fractional_sweep_n", r"sweep\.n", lambda cfg: cfg.update(sweep={"n": 5.7})),
     _edited("bool_sweep_m", r"sweep\.m", lambda cfg: cfg.update(sweep={"m": True})),
+    # Python's json reads NaN and Infinity; every float of the config must be finite
+    _edited("nan_K1", r"space\.K1", lambda cfg: cfg["space"].update(K1=math.nan)),
+    _edited("nan_K2", r"space\.K2", lambda cfg: cfg["space"].update(K2=math.nan)),
+    _edited("infinite_p", r"space\.p", lambda cfg: cfg["space"].update(p=math.inf)),
+    _edited("nan_kernel_weight", r"kernel\.weight", lambda cfg: cfg["kernel"].update(weight=math.nan)),
+    _edited("infinite_box", r"kernel\.box", lambda cfg: cfg["kernel"].update(box=[[0.5, math.inf], [0.5, 1.5]])),
+    _edited("nan_decay_c", r"decay\.c", lambda cfg: cfg["generators"]["decay"].update(c=math.nan)),
+    _edited("nan_alpha1", r"stability\.alpha1",
+            lambda cfg: cfg["generators"]["stability"].update(alpha1=math.nan, alpha2=1.0)),
+    _edited("nan_generator_shift", r"bsplines\[\]\.shift",
+            lambda cfg: cfg["generators"]["bsplines"][0].update(shift=[math.nan, 0.0])),
+    _malformed("infinite_signal_weight", r"signal\[\]\.weight", weight=-math.inf),
+    _edited("nan_sweep_gamma", r"sweep\.gamma", lambda cfg: cfg.update(sweep={"gamma": math.nan})),
+    _edited("bool_sweep_mu", r"sweep\.mu", lambda cfg: cfg.update(sweep={"mu": True})),
+    _malformed("nan_density_mass", "density.mass",
+               density={"kind": "piecewise_constant", "edges": [[-3.0, 0.0, 3.0], [-3.0, 3.0]],
+                        "mass": [[math.nan], [0.6]]}),
 ]
 
 
@@ -542,6 +559,21 @@ class TestCli:
         assert doc["seed"] == 7
         assert doc["flags"]["stability_certified"] is True
         assert doc["flags"]["decay_fitted"] is True
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--theorem", "omega", "--n", "0"], "n and m must be >= 1"),
+        (["--theorem", "mu", "--n", "-3"], "n and m must be >= 1"),
+        (["--theorem", "concentrated", "--m", "0"], "n and m must be >= 1"),
+        (["--theorem", "reconstruction", "--beta-tilde", "nan"], "beta_tilde must be positive and finite"),
+        (["--theorem", "reconstruction", "--beta-tilde", "inf"], "beta_tilde must be positive and finite"),
+    ])
+    def test_constants_rejects_a_bad_override(self, tmp_path, capsys, argv, message):
+        cfg = self._write_config(tmp_path)
+        out = tmp_path / "c.json"
+        assert main(["constants", "--config", str(cfg), "--out", str(out), *argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not out.exists()
 
     def test_surface_files(self, tmp_path):
         cfg = self._write_config(tmp_path)

@@ -252,27 +252,42 @@ def _mp_axis_gram(g, N, lo, hi):
     return G
 
 
-def test_dense_lower_constant_is_below_the_40_digit_value():
-    # the convolved one-term function of the per-axis beta_tilde test, written as
-    # two half-weight copies of its term: the same function and Gram, so the
-    # dense branch runs on a Gram whose exact lambda_min is a product of 1-D ones
+def _mp_lower_constant_case():
+    """The convolved one-term function of the per-axis beta_tilde test, its
+    cuboid, and its exact lower constant at N = 2 from 40-digit per-axis Grams."""
     ck = Cuboid(2.0, 1.5, 2)
     kernel = AveragingKernel.box([(-0.125, 0.25)] + [(-0.25, 0.25)] * 2, ck)
     f = convolve(ONE_TERM["bspline_123_shifted"], kernel)
     (w, fs), = f.terms
-    split = TensorFunction([(0.5 * w, fs), (0.5 * w, fs)])
-    lo, hi = estimate_stability((split,), 2.0, 2.0, 2, region=ck)
     with mpmath.workdps(40):
         lam = mpmath.mpf(w) ** 2
         for g, (a, b) in zip(fs, ck.box):
             lam *= min(mpmath.eigsy(_mp_axis_gram(g, 2, mpmath.mpf(a), mpmath.mpf(b)))[0])
-        exact = float(mpmath.sqrt(lam))
-        assert lo <= exact
-        # the margin is side * eps * lambda_max, with side = 125
-        assert lo ** 2 >= exact ** 2 - 2 * 125 * np.finfo(float).eps * hi ** 2
-        # without the margin eigvalsh's value is 4.2e-13 relative off (low here; the sign is not controlled)
-        lam_dense = np.linalg.eigvalsh(_shift_gram((split,), 2, ck, DEFAULT_QUAD))
-        assert abs(math.sqrt(lam_dense[0]) - exact) > 1e-14 * exact
+        return f, ck, float(mpmath.sqrt(lam))
+
+
+def test_per_axis_lower_constant_is_below_the_40_digit_value():
+    # each axis's lambda_min is lowered by len(G_a) * eps * lambda_max(G_a);
+    # without that margin this case read 3.5e-15 relative above the exact value
+    f, ck, exact = _mp_lower_constant_case()
+    lo, _ = estimate_stability((f,), 2.0, 2.0, 2, region=ck)
+    assert exact * (1.0 - 1e-11) <= lo <= exact
+
+
+def test_dense_lower_constant_is_below_the_40_digit_value():
+    # the same function written as two half-weight copies of its term: the same
+    # function and Gram, so the dense branch runs on a Gram whose exact
+    # lambda_min is a product of 1-D ones
+    f, ck, exact = _mp_lower_constant_case()
+    (w, fs), = f.terms
+    split = TensorFunction([(0.5 * w, fs), (0.5 * w, fs)])
+    lo, hi = estimate_stability((split,), 2.0, 2.0, 2, region=ck)
+    assert lo <= exact
+    # the margin is side * eps * lambda_max, with side = 125
+    assert lo ** 2 >= exact ** 2 - 2 * 125 * np.finfo(float).eps * hi ** 2
+    # without the margin eigvalsh's value is 4.2e-13 relative off (low here; the sign is not controlled)
+    lam_dense = np.linalg.eigvalsh(_shift_gram((split,), 2, ck, DEFAULT_QUAD))
+    assert abs(math.sqrt(lam_dense[0]) - exact) > 1e-14 * exact
 
 
 L2_SETS = {

@@ -14,6 +14,11 @@ And an expansion can come back: the package computes with every
 sum_k c(k) phi(. - k) as a LatticeSpline, so no module other than
 ``mixed_space``, which defines the oracle ``synthesize``, may import or load
 it.
+
+And a second pseudo-inverse path can come back: ``np.linalg.svd`` is
+loaded in one package function, ``reconstruction._factored_svd``, which
+holds the rank rule, and ``RankDeficientError`` is constructed only in
+``reconstruction.dual_family``.
 """
 
 import ast
@@ -133,3 +138,52 @@ def test_detects_an_expansion():
     assert expands(ast.parse("from .mixed_space import synthesize as s\n"))
     assert expands(ast.parse("from . import mixed_space\nf = mixed_space.synthesize(phi, c)\n"))
     assert not expands(ast.parse("from .mixed_space import LatticeSpline\nf = LatticeSpline(phi, c)\n"))
+
+
+def call_sites(trees: dict[str, ast.Module], matches) -> set[str]:
+    """module.function of every node for which matches(node) holds; module
+    level counts as the module itself, and a method as class.method."""
+    found = set()
+
+    def visit(node, where):
+        if matches(node):
+            found.add(where)
+        for child in ast.iter_child_nodes(node):
+            inner = where
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{where}.{child.name}"
+            visit(child, inner)
+
+    for name, tree in trees.items():
+        visit(tree, name.removesuffix(".py"))
+    return found
+
+
+def loads_svd(node) -> bool:
+    """np.linalg.svd under any spelling: an attribute, a bare name or a from-import."""
+    return ((isinstance(node, ast.Attribute) and node.attr == "svd")
+            or (isinstance(node, ast.Name) and node.id == "svd")
+            or (isinstance(node, ast.ImportFrom) and any(a.name == "svd" for a in node.names)))
+
+
+def raises_rank_deficient(node) -> bool:
+    """A RankDeficientError constructed, by name or as an attribute."""
+    return isinstance(node, ast.Call) and (
+        (isinstance(node.func, ast.Name) and node.func.id == "RankDeficientError")
+        or (isinstance(node.func, ast.Attribute) and node.func.attr == "RankDeficientError"))
+
+
+def test_one_svd_step_and_one_place_that_raises_on_rank():
+    # the rank rule lives next to the only SVD; only the dual family turns it into an error
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in PACKAGE.glob("*.py")}
+    assert call_sites(trees, loads_svd) == {"reconstruction._factored_svd"}
+    assert call_sites(trees, raises_rank_deficient) == {"reconstruction.dual_family"}
+
+
+def test_detects_a_second_svd_step_and_a_second_raise():
+    tree = ast.parse("import numpy as np\nfrom numpy.linalg import svd\n"
+                     "def a(S):\n    return np.linalg.svd(S)\n"
+                     "class B:\n    def c(self, S):\n        raise RankDeficientError(1, 2, S)\n"
+                     "def d(S):\n    raise errors.RankDeficientError(1, 2, S)\n")
+    assert call_sites({"m.py": tree}, loads_svd) == {"m", "m.a"}
+    assert call_sites({"m.py": tree}, raises_rank_deficient) == {"m.B.c", "m.d"}

@@ -85,6 +85,11 @@ class TestCuboid:
         with pytest.raises(ValueError):
             Cuboid(1.0, 1.0, 0)
 
+    @pytest.mark.parametrize("K1, K2", [(float("nan"), 1.0), (1.0, float("nan"))])
+    def test_nan_half_width_rejected(self, K1, K2):
+        with pytest.raises(ValueError, match="half-widths must be positive"):
+            Cuboid(K1, K2)
+
     def test_higher_dimension(self):
         c = Cuboid(1.0, 2.0, 3)
         assert c.ndim == 4
@@ -313,6 +318,14 @@ class TestGeneratorSet:
     def test_alpha_ordering(self):
         with pytest.raises(ValueError):
             GeneratorSet((tensor_bspline([1, 1]),), 1.0, 2, 2, 2.0, 1.0)
+
+    @pytest.mark.parametrize("position", range(5))
+    def test_nan_constant_rejected(self, position):
+        # decay_c, decay_s1, decay_s2, alpha1, alpha2
+        args = [1.4, 2.0, 2.0, 0.2, 1.0]
+        args[position] = float("nan")
+        with pytest.raises(ValueError, match="must be positive"):
+            GeneratorSet((tensor_bspline([2, 2]),), *args)
 
     def test_decay_constant_is_an_envelope(self):
         gen = tensor_bspline([2, 2])

@@ -209,6 +209,15 @@ class TestDualFamily:
         assert np.allclose(fam.function(2, 3).coefficients.values, fam.coefficients(unit).values,
                            rtol=0.0, atol=1e-12 * np.abs(fam.coefficients(unit).values).max())
 
+    @pytest.mark.parametrize("j, k", [(2, 0), (0, 3), (7, 1), (1, 8), (-1, 3)])
+    def test_dual_function_rejects_an_index_outside_the_draw(self, quadratic_setup, j, k):
+        # (2, 0) would otherwise land on row 6, the dual of sample (1, 7)
+        ck, rho, kernel, phi, _ = quadratic_setup
+        fam = dual_family(build_sample_matrix(phi, kernel, draw_samples(rho, 6, 7, seed=47), 2))
+        assert isinstance(fam.function(6, 7), LatticeSpline)
+        with pytest.raises(IndexError, match=r"outside \[1, 6\] x \[1, 7\]"):
+            fam.function(j, k)
+
     def test_benchmark_draw_reaches_machine_precision(self, quadratic_setup):
         ck, rho, kernel, phi, coeffs = quadratic_setup
         samples = draw_samples(rho, 5, 5, seed=20240811)

@@ -2,7 +2,8 @@
 
 The reference draws each trial, builds its sample matrix (convolving the
 generators again), takes the sample values as S c and solves it on its own
-with a dense SVD of S.  empirical_success must give
+with a dense SVD of S and the RANK_TOL rule written out (dense_solve, this
+file's oracle).  empirical_success must give
 the same records, compared with float equality: hoisting and batching
 change the order in which the work is done, not the arithmetic.
 """
@@ -25,17 +26,30 @@ from avgsamp.mixed_space import (
     tensor_bspline,
 )
 from avgsamp.reconstruction import (
+    RANK_TOL,
     RECOVERY_TOL,
     RankDeficientError,
     TrialRecord,
     TrialSpec,
     _batch_size,
-    _full_rank_svd,
     _min_norm_solution,
     build_sample_matrix,
     empirical_success,
 )
 from avgsamp.sampling import AveragingKernel, Density, convolve, draw_samples
+
+
+def dense_solve(entries: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Minimum-norm solution from one dense thin SVD.
+
+    The rank counts the singular values above RANK_TOL times the largest
+    column norm; below full column rank it raises RankDeficientError.
+    """
+    U, sv, Vt = np.linalg.svd(entries, full_matrices=False)
+    rank = int(np.sum(sv > RANK_TOL * max(np.linalg.norm(entries, axis=0).max(), 1e-300)))
+    if rank < entries.shape[1]:
+        raise RankDeficientError(rank, entries.shape[1], sv)
+    return _min_norm_solution(U, sv, Vt, values)
 
 
 def reference_records(spec: TrialSpec, trials: int, seed: int) -> list[TrialRecord]:
@@ -57,7 +71,7 @@ def reference_records(spec: TrialSpec, trials: int, seed: int) -> list[TrialReco
             smin = float(sv[-1]) if rows >= cols else 0.0
             cond = float(sv[0]) / smin if smin > 0.0 else math.inf
             try:
-                x = _min_norm_solution(*_full_rank_svd(S.entries)[:3], values)
+                x = dense_solve(S.entries, values)
                 err = float(np.max(np.abs(x - spec.coeffs.flatten())))
                 rec = TrialRecord(t, tseed, err <= RECOVERY_TOL, cols, False, err,
                                   smin, cond)
