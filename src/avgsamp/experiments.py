@@ -79,6 +79,51 @@ def _float(value, key: str) -> float:
     raise ConfigError(f"{key} must be a finite number, got {value!r}")
 
 
+#: Every config key, stated once: name -> (reader, default).  A reader is _int,
+#: _float, a dict (an object of those keys), a one-item list (a list of that
+#: item) or None (the value as given).  A null or absent key reads as its
+#: default; a default of ... marks a required key.
+SCHEMA = {
+    "schema": (None, ...), "seed": (_int, ...),
+    "space": ({"p": (_float, ...), "q": (_float, ...), "d": (_int, ...), "N": (_int, ...),
+               "K1": (_float, ...), "K2": (_float, ...)}, {}),
+    "quadrature": ({"order": (_int, 8), "refine": (_int, 1)}, {}),
+    "generators": ({"bsplines": ([{"degree": (_int, ...), "shift": ([_float], None)}], ...),
+                    "decay": ({"s1": (_float, 2.0), "s2": (_float, 2.0), "c": (_float, None)}, {}),
+                    "stability": ({"alpha1": (_float, None), "alpha2": (_float, None),
+                                   "trials": (_int, 40)}, {})}, {}),
+    "kernel": ({"box": ([[_float]], ...), "weight": (_float, 1.0)}, {}),
+    "density": ({"kind": (None, "uniform"), "edges": ([[_float]], None), "mass": (None, None)}, {}),
+    "signal": ([{"generator": (_int, ...), "k": ([_int], ...), "weight": (_float, ...)}], ...),
+    "samples": ({"sizes": ([[_int]], [[5, 5]]), "mode": (None, "joint")}, {}),
+    "sweep": ({"n": (_int, None), "m": (_int, None)} | {key: (_float, None) for key in (
+        "gamma", "omega", "mu", "eta", "delta", "eps", "beta_tilde")}, {}),
+}
+
+
+def _read(reader, value, path: str = ""):
+    """value read through reader (see SCHEMA), defaults filled in.  A ConfigError names the
+    dotted path (list items as []) of an unknown or missing key or of a value of the wrong kind."""
+    if not isinstance(reader, (dict, list)):
+        return value if reader is None else reader(value, path)
+    if not isinstance(value, type(reader)):
+        kind = "object" if isinstance(reader, dict) else "list"
+        raise ConfigError(f"{path} must be a JSON {kind}, got {value!r}")
+    if isinstance(reader, list):
+        return [_read(reader[0], v, path + "[]") for v in value]
+    unknown = ", ".join(f"{path}.{key}".lstrip(".") for key in value if key not in reader)
+    if unknown:
+        raise ConfigError(f"unknown config key {unknown}; {path or 'config'} takes {', '.join(reader)}")
+    out = {}
+    for key, (item, default) in reader.items():
+        name, v = f"{path}.{key}".lstrip("."), value.get(key)
+        v = default if v is None else v
+        if v is ...:
+            raise ConfigError(f"{name} is required")
+        out[key] = None if v is None else _read(item, v, name)
+    return out
+
+
 def config_hash(raw: dict) -> str:
     """SHA-256 of the canonical JSON form of the configuration."""
     canon = json.dumps(raw, sort_keys=True, separators=(",", ":"))
@@ -152,114 +197,78 @@ def load_config(path, seed_override: int | None = None) -> Experiment:
 
 
 def build_experiment(raw: dict, seed_override: int | None = None) -> Experiment:
-    """Validate and resolve a configuration dictionary."""
-    _require(isinstance(raw, dict), "config must be a JSON object")
-    _require(raw.get("schema") == SCHEMA_VERSION, f"config schema must be {SCHEMA_VERSION}")
-    _require("seed" in raw, "config must set an explicit seed (no wall-clock defaults)")
-    seed = _int(raw["seed"], "seed") if seed_override is None else _int(seed_override, "seed")
+    """Validate and resolve a configuration dictionary: read it through SCHEMA, then check across keys."""
+    _require(isinstance(raw, dict) and raw.get("schema") == SCHEMA_VERSION,
+             f"config must be a JSON object with schema {SCHEMA_VERSION}")
+    cfg = _read(SCHEMA, raw)
+    seed = cfg["seed"] if seed_override is None else _int(seed_override, "seed")
+    _require(seed >= 0, f"seed must be >= 0, got {seed}")
 
-    sp = raw.get("space", {})
-    for key in ("p", "q", "d", "N", "K1", "K2"):
-        _require(key in sp, f"space.{key} is required")
-    p, q = _float(sp["p"], "space.p"), _float(sp["q"], "space.q")
-    d, N = _int(sp["d"], "space.d"), _int(sp["N"], "space.N")
-    cuboid = Cuboid(_float(sp["K1"], "space.K1"), _float(sp["K2"], "space.K2"), d)
+    sp = cfg["space"]
+    p, q, d, N = sp["p"], sp["q"], sp["d"], sp["N"]
+    _require(N >= 0, f"space.N must be >= 0, got {N}")
+    cuboid = Cuboid(sp["K1"], sp["K2"], d)
+    quad = QuadratureSpec(cfg["quadrature"]["order"], cfg["quadrature"]["refine"])
 
-    qd = raw.get("quadrature", {})
-    quad = QuadratureSpec(_int(qd.get("order", 8), "quadrature.order"),
-                          _int(qd.get("refine", 1), "quadrature.refine"))
-
-    gen = raw.get("generators", {})
-    _require("bsplines" in gen and len(gen["bsplines"]) >= 1,
-             "generators.bsplines must list at least one generator")
-    funcs = []
-    for g in gen["bsplines"]:
-        _require("degree" in g, "generators.bsplines[].degree is required")
-        degree = _int(g["degree"], "generators.bsplines[].degree")
-        shift = [_float(s, "generators.bsplines[].shift") for s in g.get("shift", [0.0] * (d + 1))]
-        _require(len(shift) == d + 1, "generator shift must have d+1 entries")
-        funcs.append(tensor_bspline([degree] * (d + 1), shift))
-    decay = gen.get("decay", {})
-    s1 = _float(decay.get("s1", 2.0), "generators.decay.s1")
-    s2 = _float(decay.get("s2", 2.0), "generators.decay.s2")
-    c_raw = decay.get("c")
-    decay_fitted = c_raw is None
+    gen = cfg["generators"]
+    _require(len(gen["bsplines"]) >= 1, "generators.bsplines must list at least one generator")
+    _require(all(g["shift"] is None or len(g["shift"]) == d + 1 for g in gen["bsplines"]),
+             "generator shift must have d+1 entries")
+    funcs = [tensor_bspline([g["degree"]] * (d + 1), g["shift"]) for g in gen["bsplines"]]
+    s1, s2, c_val = gen["decay"]["s1"], gen["decay"]["s2"], gen["decay"]["c"]
+    decay_fitted = c_val is None
     if decay_fitted:
         c_val = max(decay_constant(g, s1, s2) for g in funcs)
-    else:
-        c_val = _float(c_raw, "generators.decay.c")
 
-    kern = raw.get("kernel", {})
-    _require("box" in kern, "kernel.box is required")
-    _require(isinstance(kern["box"], (list, tuple)) and len(kern["box"]) == d + 1,
-             "kernel.box must have d+1 intervals")
-    _require(all(isinstance(iv, (list, tuple)) and len(iv) == 2 for iv in kern["box"]),
-             "kernel.box items must be [a, b] pairs")
-    bounds = [(_float(a, "kernel.box"), _float(b, "kernel.box")) for a, b in kern["box"]]
-    kernel = AveragingKernel.box(bounds, cuboid, _float(kern.get("weight", 1.0), "kernel.weight"))
+    kern = cfg["kernel"]
+    _require(len(kern["box"]) == d + 1 and all(len(iv) == 2 for iv in kern["box"]),
+             "kernel.box must hold d+1 [a, b] pairs")
+    kernel = AveragingKernel.box(kern["box"], cuboid, kern["weight"])
 
-    dens = raw.get("density", {"kind": "uniform"})
-    kind = dens.get("kind", "uniform")
-    if kind == "uniform":
+    dens = cfg["density"]
+    if dens["kind"] == "uniform":
+        _require(dens["edges"] is None and dens["mass"] is None,
+                 "density.edges and density.mass need kind piecewise_constant")
         density = Density.uniform(cuboid)
-    elif kind == "piecewise_constant":
-        _require("edges" in dens and "mass" in dens, "density.edges and density.mass are required")
-        edges = [np.asarray(e, dtype=float) for e in dens["edges"]]
+    elif dens["kind"] == "piecewise_constant":
+        _require(dens["edges"] is not None and dens["mass"] is not None,
+                 "density.edges and density.mass are required")
         mass = np.asarray(dens["mass"], dtype=float)
-        _require(all(np.isfinite(e).all() for e in edges) and np.isfinite(mass).all(),
-                 "density.edges and density.mass must be finite numbers")
+        _require(np.isfinite(mass).all(), "density.mass must be finite numbers")
+        edges = [np.asarray(e, dtype=float) for e in dens["edges"]]
         density = Density.piecewise_constant(cuboid, edges, mass)
     else:
-        raise ConfigError(f"unknown density kind {kind!r}")
+        raise ConfigError(f"unknown density kind {dens['kind']!r}")
 
-    stab = gen.get("stability", {})
-    a1_raw, a2_raw = stab.get("alpha1"), stab.get("alpha2")
-    stability_estimated = a1_raw is None or a2_raw is None
-    stability_certified = a1_raw is None and a2_raw is None and p == q == 2.0
+    a1, a2 = gen["stability"]["alpha1"], gen["stability"]["alpha2"]
+    stability_estimated = a1 is None or a2 is None
+    stability_certified = a1 is None and a2 is None and p == q == 2.0
     if stability_estimated:
-        trials = _int(stab.get("trials", 40), "generators.stability.trials")
-        lo, hi = estimate_stability(funcs, p, q, N, trials, seed, quad)
-    alpha1 = lo if a1_raw is None else _float(a1_raw, "generators.stability.alpha1")
-    alpha2 = hi if a2_raw is None else _float(a2_raw, "generators.stability.alpha2")
-    phi = GeneratorSet(tuple(funcs), c_val, s1, s2, alpha1, alpha2)
+        lo, hi = estimate_stability(funcs, p, q, N, gen["stability"]["trials"], seed, quad)
+    phi = GeneratorSet(tuple(funcs), c_val, s1, s2, lo if a1 is None else a1, hi if a2 is None else a2)
     phi.check_exponents(p, q)
 
-    _require("signal" in raw and len(raw["signal"]) >= 1, "signal coefficients are required")
-    for key in ("generator", "k", "weight"):
-        _require(all(key in t for t in raw["signal"]), f"signal[].{key} is required")
-    _require(all(isinstance(t["k"], (list, tuple)) and len(t["k"]) == d + 1 for t in raw["signal"]),
-             f"signal[].k must be a list of d+1 = {d + 1} entries")
-    entries = [(_int(t["generator"], "signal[].generator"), [_int(k, "signal[].k") for k in t["k"]],
-                _float(t["weight"], "signal[].weight")) for t in raw["signal"]]
+    entries = [(t["generator"], t["k"], t["weight"]) for t in cfg["signal"]]
+    _require(len(entries) >= 1, "signal coefficients are required")
+    _require(all(len(k) == d + 1 for _, k, _ in entries), f"signal[].k must have d+1 = {d + 1} entries")
     for i, k, _ in entries:
         _require(0 <= i < phi.r, f"signal generator {i} must lie in [0, {phi.r - 1}]")
         _require(all(abs(v) <= N for v in k), f"signal shift {k} must lie in [-N, N] = [-{N}, {N}]")
     signal = CoefficientGrid.from_entries(phi.r, N, d, entries)
 
-    smp = raw.get("samples", {})
-    sizes = smp.get("sizes", [[5, 5]])
-    _require(all(isinstance(s, (list, tuple)) and len(s) == 2 for s in sizes),
-             "samples.sizes items must be [n, m] pairs")
-    sizes = [(_int(n, "samples.sizes"), _int(m, "samples.sizes")) for n, m in sizes]
+    sizes, mode = [tuple(s) for s in cfg["samples"]["sizes"]], cfg["samples"]["mode"]
+    _require(len(sizes) >= 1, "samples.sizes must list at least one [n, m] pair")
+    _require(all(len(s) == 2 for s in sizes), "samples.sizes items must be [n, m] pairs")
     _require(all(n >= 1 and m >= 1 for n, m in sizes), "sample sizes must be positive")
-    mode = smp.get("mode", "joint")
     _require(mode in ("joint", "separable"), f"samples.mode must be joint or separable, got {mode!r}")
     _require(mode == "joint" or density.cell_mass.size == 1, "samples.mode separable needs the uniform density")
-    sweep = raw.get("sweep", {})
-    _require(isinstance(sweep, dict), "sweep must be a JSON object")
-    for key in ("n", "m"):
-        if key in sweep:
-            _require(_int(sweep[key], f"sweep.{key}") >= 1, f"sweep.{key} must be positive")
-    for key in ("gamma", "omega", "mu", "eta", "delta", "eps", "beta_tilde"):
-        if key in sweep:
-            _float(sweep[key], f"sweep.{key}")
+    sweep = {key: v for key, v in cfg["sweep"].items() if v is not None}
+    _require(all(sweep[key] >= 1 for key in ("n", "m") if key in sweep), "sweep.n and sweep.m must be >= 1")
 
     return Experiment(
-        raw=raw, seed=seed, p=p, q=q, d=d, N=N, cuboid=cuboid, phi=phi,
-        kernel=kernel, density=density, signal=signal, sample_sizes=sizes,
-        mode=mode, quad=quad, stability_estimated=stability_estimated,
-        stability_certified=stability_certified, decay_fitted=decay_fitted,
-        sweep_defaults=sweep,
+        raw=raw, seed=seed, p=p, q=q, d=d, N=N, cuboid=cuboid, phi=phi, kernel=kernel, density=density,
+        signal=signal, sample_sizes=sizes, mode=mode, quad=quad, stability_estimated=stability_estimated,
+        stability_certified=stability_certified, decay_fitted=decay_fitted, sweep_defaults=sweep,
     )
 
 

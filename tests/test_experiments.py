@@ -1,8 +1,11 @@
 """Tests for config ingestion, error tables, surfaces, sweeps and the CLI."""
 
+import copy
 import json
 import math
+import re
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,6 +32,8 @@ from avgsamp.mixed_space import (
     tensor_bspline,
 )
 from avgsamp.reconstruction import beta_tilde
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def d2_config():
@@ -145,7 +150,30 @@ MALFORMED = [
     _malformed("nan_density_mass", "density.mass",
                density={"kind": "piecewise_constant", "edges": [[-3.0, 0.0, 3.0], [-3.0, 3.0]],
                         "mass": [[math.nan], [0.6]]}),
+    _edited("negative_seed", "seed must be >= 0", lambda cfg: cfg.update(seed=-1)),
+    _edited("empty_sizes", r"samples\.sizes", lambda cfg: cfg["samples"].update(sizes=[])),
+    _edited("negative_N", r"space\.N must be >= 0", lambda cfg: cfg["space"].update(N=-1)),
+    _malformed("uniform_density_edges", r"density\.edges and density\.mass",
+               density={"kind": "uniform", "edges": [[-3.0, 3.0], [-3.0, 3.0]]}),
+    _malformed("uniform_density_mass", r"density\.edges and density\.mass",
+               density={"kind": "uniform", "mass": [[1.0]]}),
+    _edited("list_samples", "samples must be a JSON object", lambda cfg: cfg.update(samples=[1])),
+    _edited("scalar_sizes", r"samples\.sizes must be a JSON list", lambda cfg: cfg["samples"].update(sizes=5)),
+    _edited("scalar_signal_item", r"signal\[\] must be a JSON object", lambda cfg: cfg.update(signal=[1])),
 ]
+
+SHIPPED_CONFIGS = sorted((ROOT / "configs").glob("*.json")) + sorted((ROOT / "perfbench" / "configs").glob("*.json"))
+
+
+def _objects(value, path=""):
+    """(dotted path, object) of every JSON object in value, at every depth; list items as []."""
+    if isinstance(value, dict):
+        yield path, value
+        for key, v in value.items():
+            yield from _objects(v, f"{path}.{key}".lstrip("."))
+    elif isinstance(value, list):
+        for v in value:
+            yield from _objects(v, path + "[]")
 
 
 class TestConfig:
@@ -172,6 +200,51 @@ class TestConfig:
         _, cfg, match = case
         with pytest.raises(ConfigError, match=match):
             build_experiment(cfg)
+
+    @pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda p: p.name)
+    def test_shipped_configs_load_unchanged(self, path):
+        raw = json.loads(path.read_text(encoding="utf-8"))
+        exp = load_config(path)
+        assert exp.raw == raw and exp.hash == config_hash(raw)
+
+    @pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda p: p.name)
+    def test_unknown_key_rejected_at_every_level(self, path):
+        raw = json.loads(path.read_text(encoding="utf-8"))
+        paths = [where for where, _ in _objects(raw)]
+        assert {"", "signal[]", "generators.bsplines[]", "generators.stability"} <= set(paths)
+        for i in range(len(paths)):
+            cfg = copy.deepcopy(raw)
+            where, obj = list(_objects(cfg))[i]
+            allowed = list(obj)
+            obj["unknown_key"] = 1
+            with pytest.raises(ConfigError) as err:
+                build_experiment(cfg)
+            message = str(err.value)
+            name = f"{where}.unknown_key".lstrip(".")
+            assert f"unknown config key {name};" in message
+            assert all(re.search(rf"\b{re.escape(key)}\b", message.split(" takes ")[1]) for key in allowed)
+
+    def test_schema_keys_documented_in_readme(self):
+        readme = (ROOT / "README.md").read_text(encoding="utf-8")
+        paragraph = re.search(r"Config schema \(version 1\).*?\n\n", readme, re.S).group(0)
+
+        def keys(reader):
+            if isinstance(reader, list):
+                yield from keys(reader[0])
+            elif isinstance(reader, dict):
+                for key, (item, _) in reader.items():
+                    yield key
+                    yield from keys(item)
+
+        missing = [key for key in keys(experiments.SCHEMA) if f"`{key}`" not in paragraph]
+        assert not missing
+
+    def test_one_shift_at_N_zero_tables(self):
+        cfg = minimal_config()
+        cfg["space"]["N"] = 0
+        cfg["signal"] = [{"generator": 0, "k": [0, 0], "weight": 2.0}]
+        rows = run_table(build_experiment(cfg)).rows
+        assert [r.rank for r in rows] == [1] and rows[0].sup_error < 1e-9
 
     def test_explicit_constants_honored(self):
         cfg = minimal_config()
@@ -618,6 +691,15 @@ class TestCli:
         out = tmp_path / "out"
         assert main([command[0], "--config", str(path), "--out", str(out), *command[1:]]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", [["table"], ["sweep", "--trials", "1"], ["samples"],
+                                         ["constants", "--theorem", "omega"]])
+    def test_negative_seed_override_exits_2(self, tmp_path, capsys, command):
+        cfg = self._write_config(tmp_path)
+        out = tmp_path / "out"
+        assert main([command[0], "--config", str(cfg), "--out", str(out), "--seed", "-1", *command[1:]]) == 2
+        assert "seed must be >= 0, got -1" in capsys.readouterr().err
         assert not out.exists()
 
     def test_seed_override_changes_output(self, tmp_path):
