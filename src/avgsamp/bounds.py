@@ -58,7 +58,8 @@ class SpaceParams:
             raise ValueError("rho_lower must not exceed rho_upper")
         floor = self.d + 1 - 1.0 / self.p - self.d / self.q
         if self.s1 <= floor or self.s2 <= floor:
-            raise ValueError(f"decay exponents must exceed d+1-1/p-d/q = {floor:.6g}")
+            raise ValueError(f"decay exponents s1 = {self.s1:.6g}, s2 = {self.s2:.6g} "
+                             f"must exceed d+1-1/p-d/q = {floor:.6g}")
 
     @property
     def p_conj(self) -> float:
@@ -98,7 +99,7 @@ class BoundReport:
         return self.constants[key]
 
 
-def _jsonable(v: float) -> float | str:
+def _jsonable(v: float | None) -> float | str | None:
     if isinstance(v, float) and not math.isfinite(v):
         return repr(v)
     return v
@@ -209,18 +210,17 @@ def amplitude_constants(params: SpaceParams, cs: float,
 def uniform_tail_bound(lam: float, params: SpaceParams, n: int, m: int) -> float:
     """Tail bound for the sup over the unit ball of |sum of Y statistics|.
 
-    Only valid above the deviation threshold; smaller deviations are
-    rejected with the computed threshold in the message.
+    A1 e^{-nm beta1} + A2 e^{-nm beta2}, the rates those of _rates at margin
+    lam / nm with D = c* ||psi||_1.  Only valid above the deviation
+    threshold; smaller deviations are rejected with the threshold in the message.
     """
     thresh = deviation_threshold(params, n, m)
     if lam <= thresh:
         raise ValueError(f"deviation {lam} must exceed the threshold {thresh}")
     cs = c_star(params)
-    W = params.psi_l11
-    a1, log_a1, a2, log_a2 = amplitude_constants(params, cs)
-    t1 = log_a1 - lam * lam / (4.0 * cs * W * (2.0 * n * m * cs * W + lam / 3.0))
-    t2 = log_a2 - lam * lam / (18.0 * math.sqrt(2.0) * W * (81.0 * n * m * W + 2.0 * lam))
-    return _safe_exp(t1) + _safe_exp(t2)
+    _, log_a1, _, log_a2 = amplitude_constants(params, cs)
+    beta1, beta2 = _rates(lam / (n * m), cs, cs * params.psi_l11)
+    return _safe_exp(log_a1 - n * m * beta1) + _safe_exp(log_a2 - n * m * beta2)
 
 
 def _safe_exp(x: float) -> float:

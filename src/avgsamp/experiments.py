@@ -139,6 +139,8 @@ class Experiment:
     norm of the bounds (CoefficientGrid.seq_mixed_norm, which sums the
     per-generator block norms); for r > 1 alpha1 is the Euclidean Gram bound
     divided by sqrt(r) (see estimate_stability), for r = 1 both are exact.
+    stability_trials (generators.stability.trials) sizes every random
+    stability search away from p = q = 2: alpha1 and alpha2, and beta_tilde.
 
     f, the signal, and conv = f * psi are LatticeSplines, never expanded.
     Where a sampling matrix S is built anyway (run_table, recovery sweeps,
@@ -162,6 +164,7 @@ class Experiment:
     stability_estimated: bool
     stability_certified: bool
     decay_fitted: bool
+    stability_trials: int
     sweep_defaults: dict = field(default_factory=dict)
 
     @property
@@ -206,6 +209,7 @@ def build_experiment(raw: dict, seed_override: int | None = None) -> Experiment:
 
     sp = cfg["space"]
     p, q, d, N = sp["p"], sp["q"], sp["d"], sp["N"]
+    _require(p > 1.0 and q > 1.0, f"space.p and space.q must lie in (1, infinity), got p = {p}, q = {q}")
     _require(N >= 0, f"space.N must be >= 0, got {N}")
     cuboid = Cuboid(sp["K1"], sp["K2"], d)
     quad = QuadratureSpec(cfg["quadrature"]["order"], cfg["quadrature"]["refine"])
@@ -233,7 +237,10 @@ def build_experiment(raw: dict, seed_override: int | None = None) -> Experiment:
     elif dens["kind"] == "piecewise_constant":
         _require(dens["edges"] is not None and dens["mass"] is not None,
                  "density.edges and density.mass are required")
-        mass = np.asarray(dens["mass"], dtype=float)
+        try:
+            mass = np.asarray(dens["mass"], dtype=float)
+        except (TypeError, ValueError):
+            raise ConfigError(f"density.mass must be nested lists of numbers, got {dens['mass']!r}") from None
         _require(np.isfinite(mass).all(), "density.mass must be finite numbers")
         edges = [np.asarray(e, dtype=float) for e in dens["edges"]]
         density = Density.piecewise_constant(cuboid, edges, mass)
@@ -246,7 +253,6 @@ def build_experiment(raw: dict, seed_override: int | None = None) -> Experiment:
     if stability_estimated:
         lo, hi = estimate_stability(funcs, p, q, N, gen["stability"]["trials"], seed, quad)
     phi = GeneratorSet(tuple(funcs), c_val, s1, s2, lo if a1 is None else a1, hi if a2 is None else a2)
-    phi.check_exponents(p, q)
 
     entries = [(t["generator"], t["k"], t["weight"]) for t in cfg["signal"]]
     _require(len(entries) >= 1, "signal coefficients are required")
@@ -265,11 +271,17 @@ def build_experiment(raw: dict, seed_override: int | None = None) -> Experiment:
     sweep = {key: v for key, v in cfg["sweep"].items() if v is not None}
     _require(all(sweep[key] >= 1 for key in ("n", "m") if key in sweep), "sweep.n and sweep.m must be >= 1")
 
-    return Experiment(
+    exp = Experiment(
         raw=raw, seed=seed, p=p, q=q, d=d, N=N, cuboid=cuboid, phi=phi, kernel=kernel, density=density,
         signal=signal, sample_sizes=sizes, mode=mode, quad=quad, stability_estimated=stability_estimated,
-        stability_certified=stability_certified, decay_fitted=decay_fitted, sweep_defaults=sweep,
+        stability_certified=stability_certified, decay_fitted=decay_fitted,
+        stability_trials=gen["stability"]["trials"], sweep_defaults=sweep,
     )
+    try:
+        exp.space_params()  # the theorem inputs, the decay floor among them, checked once
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    return exp
 
 
 def row_seed(master: int, n: int, m: int) -> int:
@@ -424,7 +436,7 @@ def probability_sweep(exp: Experiment, nm_list, trials: int,
     bt = None
     if theorem == "recovery":
         bt = beta_tilde(exp.phi, exp.kernel, exp.N, exp.p, exp.q, exp.cuboid,
-                        seed=exp.seed, quad=exp.quad).value
+                        exp.stability_trials, exp.seed, exp.quad).value
     records = []
     for n, m in nm_list:
         rep = constants_report(exp, selector, n=n, m=m, beta_tilde=bt)
@@ -478,7 +490,7 @@ def constants_report(exp: Experiment, selector: str, **extra) -> BoundReport:
         bt = defaults.get("beta_tilde")
         if bt is None:
             bt = beta_tilde(exp.phi, exp.kernel, exp.N, exp.p, exp.q, exp.cuboid,
-                            seed=exp.seed, quad=exp.quad).value
+                            exp.stability_trials, exp.seed, exp.quad).value
         rep = reconstruction_report(params, gamma, float(bt), n, m)
     else:
         raise ConfigError(f"unknown selector {selector!r}")

@@ -106,16 +106,6 @@ class GeneratorSet:
     def d(self) -> int:
         return self.ndim - 1
 
-    def check_exponents(self, p: float, q: float) -> None:
-        """Decay exponents must exceed d + 1 - 1/p - d/q for the space in use."""
-        d = self.d
-        floor = d + 1 - 1.0 / p - d / q
-        if self.decay_s1 <= floor or self.decay_s2 <= floor:
-            raise ValueError(
-                f"decay exponents ({self.decay_s1}, {self.decay_s2}) must exceed "
-                f"d+1-1/p-d/q = {floor:.6g}"
-            )
-
 
 def _weighted_max(g: PiecewisePoly1D, s: float) -> float:
     """sup_t |g(t)| (1+|t|)^s, one-sided limits at breakpoints included.
@@ -226,7 +216,7 @@ class CoefficientGrid:
         return cls(np.asarray(flat, dtype=float).reshape((r,) + (2 * N + 1,) * (d + 1)), N)
 
     def seq_mixed_norm(self, p: float, q: float) -> float:
-        """Sum over generators of the block l^{p,q} norms.
+        """Sum over generators of the block l^{p,q} norms (lpq_norm).
 
         The inner q-sum runs over all k2 axes jointly, the outer p-sum over
         k1.  p = q = inf returns the max absolute entry.
@@ -235,11 +225,7 @@ class CoefficientGrid:
             return float(np.max(np.abs(self.values))) if self.values.size else 0.0
         if not (1 <= p < np.inf and 1 <= q < np.inf):
             raise ValueError("exponents must be finite and >= 1 (or both infinite)")
-        total = 0.0
-        for block in self.values:
-            inner = np.sum(np.abs(block) ** q, axis=tuple(range(1, block.ndim)))
-            total += float(np.sum(inner ** (p / q)) ** (1.0 / p))
-        return total
+        return sum(lpq_norm(block.reshape(len(block), -1), p, q) for block in self.values)
 
     def __add__(self, other: "CoefficientGrid") -> "CoefficientGrid":
         return CoefficientGrid(self.values + other.values, self.N)

@@ -21,6 +21,7 @@ from functools import reduce
 
 import numpy as np
 
+from .bounds import _jsonable
 from .mixed_space import (
     DEFAULT_QUAD,
     CoefficientGrid,
@@ -149,11 +150,15 @@ def _factored_svd(factors) -> tuple[list, np.ndarray, np.ndarray]:
     return svds, sv, np.sum(sv > RANK_TOL * np.maximum(colnorm, 1e-300)[..., None], axis=-1)
 
 
-def _min_norm_solution(U: np.ndarray, sv: np.ndarray, Vt: np.ndarray,
-                       b: np.ndarray) -> np.ndarray:
-    """Minimum-norm least-squares solution from a full-rank thin SVD; b is one
-    right-hand side or a matrix of them, one per column."""
-    return Vt.T @ ((U.T @ b) / (sv if b.ndim == 1 else sv[:, None]))
+def _apply_pinv(svds, sample_values) -> np.ndarray:
+    """Minimum-norm least squares: S's pseudo-inverse applied to the sample values, from the
+    full-rank thin SVDs (U, sv, Vt) of S's Kronecker factors; each pass solves along the
+    leading mode of the sample array and rotates it to the back."""
+    x = np.asarray(sample_values, dtype=float).ravel()
+    for U, sv, Vt in svds:
+        b = x if len(svds) == 1 else x.reshape(len(U), -1)
+        x = (Vt.T @ ((U.T @ b) / (sv if b.ndim == 1 else sv[:, None]))).T
+    return x.ravel()
 
 
 @dataclass
@@ -192,28 +197,21 @@ class DualFamily:
     svds: the thin SVD (U, sv, Vt) of each matrix in S.factors; sv: the
     singular values of the sampling matrix S, their Kronecker product.  S's
     pseudo-inverse, which maps sample values to coefficients, is the
-    Kronecker product of the factors' ones: coefficients applies each along
-    its own mode of the sample array, and solve takes its coefficients from
-    there.  The dual function for sample (j, k) is the LatticeSpline of
-    that sample's pseudo-inverse column, the Kronecker product of the
-    factors' columns; S's own singular vectors are never formed.  In the
-    full-rank regime the family reproduces every function of the finite
-    subspace.
+    Kronecker product of the factors' ones: coefficients applies it through
+    _apply_pinv, and solve takes its coefficients from there.  The dual
+    function for sample (j, k) is the reconstruction of the unit sample at
+    (j, k), the LatticeSpline of that sample's pseudo-inverse column; S's
+    own singular vectors are never formed.  In the full-rank regime the
+    family reproduces every function of the finite subspace.
     """
 
     S: SampleMatrix
     svds: list
     sv: np.ndarray
 
-    def _grid(self, flat: np.ndarray) -> CoefficientGrid:
-        return CoefficientGrid.from_flat(flat, self.S.phi.r, self.S.N, self.S.phi.d)
-
     def coefficients(self, sample_values) -> CoefficientGrid:
-        # each pass solves along the leading mode and rotates it to the back
-        x = np.asarray(sample_values, dtype=float).ravel()
-        for U, sv, Vt in self.svds:
-            x = _min_norm_solution(U, sv, Vt, x if len(self.svds) == 1 else x.reshape(len(U), -1)).T
-        return self._grid(x.ravel())
+        return CoefficientGrid.from_flat(_apply_pinv(self.svds, sample_values),
+                                         self.S.phi.r, self.S.N, self.S.phi.d)
 
     def reconstruct(self, sample_values) -> LatticeSpline:
         return LatticeSpline(self.S.phi, self.coefficients(sample_values))
@@ -223,10 +221,9 @@ class DualFamily:
         n, m = self.S.samples.n, self.S.samples.m
         if not (1 <= j <= n and 1 <= k <= m):
             raise IndexError(f"sample index ({j}, {k}) outside [1, {n}] x [1, {m}]")
-        row = (j - 1) * m + (k - 1)
-        rows = np.unravel_index(row, [U.shape[0] for U, _, _ in self.svds])
-        columns = [Vt.T @ (U[i] / sv) for (U, sv, Vt), i in zip(self.svds, rows)]
-        return LatticeSpline(self.S.phi, self._grid(reduce(np.kron, columns)))
+        unit = np.zeros(n * m)
+        unit[(j - 1) * m + (k - 1)] = 1.0
+        return self.reconstruct(unit)
 
 
 def dual_family(S: SampleMatrix) -> DualFamily:
@@ -371,14 +368,10 @@ class TrialRecord:
         return json.dumps({
             "trial": self.trial, "seed": self.seed, "success": self.success,
             "rank": self.rank, "rank_deficient": self.rank_deficient,
-            "error": _finite_or_repr(self.error),
-            "sigma_min": _finite_or_repr(self.sigma_min),
-            "condition_number": _finite_or_repr(self.condition_number),
+            "error": _jsonable(self.error),
+            "sigma_min": _jsonable(self.sigma_min),
+            "condition_number": _jsonable(self.condition_number),
         }, sort_keys=True)
-
-
-def _finite_or_repr(v: float | None):
-    return v if v is None or math.isfinite(v) else repr(v)
 
 
 @dataclass
@@ -472,7 +465,7 @@ def empirical_success(spec: TrialSpec, trials: int, seed: int,
             if rank < cols:
                 records.append(TrialRecord(t, tseed, False, rank, True, math.inf, smin, cond))
                 continue
-            x = _min_norm_solution(U[b], sv[b], Vt[b], values[b])
+            x = _apply_pinv([(U[b], sv[b], Vt[b])], values[b])
             err = float(np.max(np.abs(x - target)))
             records.append(TrialRecord(t, tseed, err <= RECOVERY_TOL, cols, False, err,
                                        smin, cond))

@@ -224,6 +224,29 @@ class TestUniformTailBound:
             * P.psi_l11
         assert deviation_threshold(P, n, m) == pytest.approx(oracle, rel=1e-12)
 
+    def test_closed_form_oracle(self):
+        # the two exponents written out, against uniform_tail_bound's nm times the _rates ones
+        rng = np.random.default_rng(20240811)
+        finite = 0
+        for _ in range(300):
+            d = int(rng.integers(1, 3))
+            p, q = rng.uniform(1.2, 4.0, 2)
+            floor = d + 1 - 1 / p - d / q
+            P = base_params(p=p, q=q, d=d, r=int(rng.integers(1, 3)), N=int(rng.integers(0, 2)),
+                            K1=rng.uniform(1, 3), K2=rng.uniform(1, 3), alpha1=rng.uniform(0.2, 1),
+                            decay_c=rng.uniform(0.2, 2), s1=floor + rng.uniform(0.1, 2),
+                            s2=floor + rng.uniform(0.1, 2), psi_l11=rng.uniform(0.01, 1))
+            n, m = (int(v) for v in rng.integers(1, 30, 2))
+            lam = deviation_threshold(P, n, m) * rng.uniform(1.01, 20)
+            cs, W = c_star(P), P.psi_l11
+            _, log_a1, _, log_a2 = amplitude_constants(P, cs)
+            t1 = log_a1 - lam * lam / (4.0 * cs * W * (2.0 * n * m * cs * W + lam / 3.0))
+            t2 = log_a2 - lam * lam / (18.0 * math.sqrt(2.0) * W * (81.0 * n * m * W + 2.0 * lam))
+            want = sum(math.inf if t > 709.0 else math.exp(t) for t in (t1, t2))
+            assert uniform_tail_bound(lam, P, n, m) == pytest.approx(want, rel=1e-10, abs=0.0)
+            finite += 0.0 < want < math.inf
+        assert finite >= 100
+
     def test_sub_threshold_rejected_with_threshold_in_message(self):
         P = base_params()
         th = deviation_threshold(P, 4, 4)

@@ -160,6 +160,19 @@ MALFORMED = [
     _edited("list_samples", "samples must be a JSON object", lambda cfg: cfg.update(samples=[1])),
     _edited("scalar_sizes", r"samples\.sizes must be a JSON list", lambda cfg: cfg["samples"].update(sizes=5)),
     _edited("scalar_signal_item", r"signal\[\] must be a JSON object", lambda cfg: cfg.update(signal=[1])),
+    # the floor d+1-1/p-d/q is 1 at d = 1, p = q = 2
+    _edited("decay_below_floor", "decay exponents s1 = 0.9",
+            lambda cfg: cfg["generators"]["decay"].update(s1=0.9)),
+    # p, q outside (1, infinity): with the alphas supplied nothing else reads them at build
+    _edited("p_one", r"space\.p and space\.q", lambda cfg: (
+        cfg["space"].update(p=1.0), cfg["generators"]["stability"].update(alpha1=0.5, alpha2=1.0))),
+    _edited("q_below_one", r"space\.p and space\.q", lambda cfg: cfg["space"].update(q=0.5)),
+    _malformed("string_density_mass", r"density\.mass",
+               density={"kind": "piecewise_constant", "edges": [[-3.0, 0.0, 3.0], [-3.0, 3.0]],
+                        "mass": "ab"}),
+    _malformed("ragged_density_mass", r"density\.mass",
+               density={"kind": "piecewise_constant", "edges": [[-3.0, 0.0, 3.0], [-3.0, 3.0]],
+                        "mass": [[0.4], [0.3, 0.3]]}),
 ]
 
 SHIPPED_CONFIGS = sorted((ROOT / "configs").glob("*.json")) + sorted((ROOT / "perfbench" / "configs").glob("*.json"))
@@ -548,6 +561,27 @@ class TestConstantsReport:
         for rep in reps:
             assert rep["c_star"] == pytest.approx(want, rel=1e-13)
 
+    def test_random_search_takes_the_configured_trials(self, config_dir, monkeypatch):
+        # away from p = q = 2 beta_tilde is a random search, sized by generators.stability.trials
+        raw = json.loads((config_dir / "quadratic_bspline.json").read_text(encoding="utf-8"))
+        raw["space"].update(p=3.0, q=3.0)
+        exp = build_experiment(raw, seed_override=1)
+        trials = raw["generators"]["stability"]["trials"]
+        want = beta_tilde(exp.phi, exp.kernel, exp.N, 3.0, 3.0, exp.cuboid, trials, 1, exp.quad).value
+        assert want != beta_tilde(exp.phi, exp.kernel, exp.N, 3.0, 3.0, exp.cuboid, 100, 1, exp.quad).value
+        seen = []
+        real = experiments.beta_tilde
+
+        def spy(*args, **kwargs):
+            est = real(*args, **kwargs)
+            seen.append(est.value)
+            return est
+
+        monkeypatch.setattr(experiments, "beta_tilde", spy)
+        assert constants_report(exp, "reconstruction")["beta_tilde"] == want
+        probability_sweep(exp, [(5, 5)], trials=1)
+        assert seen == [want, want]
+
     def test_reconstruction_selector(self, quadratic_benchmark):
         rep = constants_report(quadratic_benchmark, "reconstruction")
         assert rep["beta_tilde"] > 0
@@ -677,6 +711,12 @@ class TestCli:
         cfg = self._write_config(tmp_path)
         assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "s.json"), "--nm", "5"]) == 2
         assert "--nm takes a comma list of NxM, got '5'" in capsys.readouterr().err
+
+    def test_help_lists_the_table_columns_in_order(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        listed = re.search(r"table:\s+(.*?)\n\s+\(", capsys.readouterr().out, re.S).group(1)
+        assert re.sub(r"\s", "", listed).split(",") == list(experiments.ResultTable.CSV_COLUMNS)
 
     def test_config_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.json"

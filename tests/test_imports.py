@@ -18,7 +18,10 @@ it.
 And a second pseudo-inverse path can come back: ``np.linalg.svd`` is
 loaded in one package function, ``reconstruction._factored_svd``, which
 holds the rank rule, and ``RankDeficientError`` is constructed only in
-``reconstruction.dual_family``.
+``reconstruction.dual_family``.  Nor may a second application of the
+pseudo-inverse: only ``reconstruction._apply_pinv`` divides by the
+singular values ``sv``, so coefficients, dual functions and the recovery
+sweep share it.
 """
 
 import ast
@@ -187,3 +190,22 @@ def test_detects_a_second_svd_step_and_a_second_raise():
                      "def d(S):\n    raise errors.RankDeficientError(1, 2, S)\n")
     assert call_sites({"m.py": tree}, loads_svd) == {"m", "m.a"}
     assert call_sites({"m.py": tree}, raises_rank_deficient) == {"m.B.c", "m.d"}
+
+
+def divides_by_singular_values(node) -> bool:
+    """A division whose divisor loads sv, the package's name for singular values:
+    the diag(1 / sv) of V diag(1 / sv) U^T b."""
+    return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div)
+            and any(isinstance(n, ast.Name) and n.id == "sv" for n in ast.walk(node.right)))
+
+
+def test_one_pseudo_inverse_application():
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in PACKAGE.glob("*.py")}
+    assert call_sites(trees, divides_by_singular_values) == {"reconstruction._apply_pinv"}
+
+
+def test_detects_a_second_pseudo_inverse_application():
+    tree = ast.parse("def a(U, sv, Vt, b):\n    return Vt.T @ ((U.T @ b) / (sv if b.ndim == 1 else sv[:, None]))\n"
+                     "class F:\n    def g(self, i):\n        return self.Vt.T @ (self.U[i] / sv)\n"
+                     "def h(s, smin):\n    return s[0] / smin\n")
+    assert call_sites({"m.py": tree}, divides_by_singular_values) == {"m.a", "m.F.g"}

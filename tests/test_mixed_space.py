@@ -310,11 +310,6 @@ class TestStability:
 
 
 class TestGeneratorSet:
-    def test_exponent_floor_checked(self):
-        phi = GeneratorSet((tensor_bspline([2, 2]),), 1.0, 0.9, 0.9, 0.5, 1.0)
-        with pytest.raises(ValueError):
-            phi.check_exponents(2.0, 2.0)  # floor is 1 for d=1, p=q=2
-
     def test_alpha_ordering(self):
         with pytest.raises(ValueError):
             GeneratorSet((tensor_bspline([1, 1]),), 1.0, 2, 2, 2.0, 1.0)

@@ -32,7 +32,6 @@ from avgsamp.reconstruction import (
     TrialRecord,
     TrialSpec,
     _batch_size,
-    _min_norm_solution,
     build_sample_matrix,
     empirical_success,
 )
@@ -40,7 +39,7 @@ from avgsamp.sampling import AveragingKernel, Density, convolve, draw_samples
 
 
 def dense_solve(entries: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Minimum-norm solution from one dense thin SVD.
+    """Minimum-norm solution V diag(1 / sv) U^T values from one dense thin SVD.
 
     The rank counts the singular values above RANK_TOL times the largest
     column norm; below full column rank it raises RankDeficientError.
@@ -49,7 +48,7 @@ def dense_solve(entries: np.ndarray, values: np.ndarray) -> np.ndarray:
     rank = int(np.sum(sv > RANK_TOL * max(np.linalg.norm(entries, axis=0).max(), 1e-300)))
     if rank < entries.shape[1]:
         raise RankDeficientError(rank, entries.shape[1], sv)
-    return _min_norm_solution(U, sv, Vt, values)
+    return Vt.T @ ((U.T @ values) / sv)
 
 
 def reference_records(spec: TrialSpec, trials: int, seed: int) -> list[TrialRecord]:
