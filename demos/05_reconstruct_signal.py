@@ -54,7 +54,7 @@ for n, m in [(5, 5), (7, 7), (10, 10)]:
     sup_err = sup_norm(diff, region)
     l1_err = abs_integral(diff, region)
     l2_err = mixed_norm(diff, 2.0, 2.0, region) if not diff.is_zero else 0.0
-    print(f"n=m={n}: rank {result.rank}/25, residual {result.residual:.2e}, "
+    print(f"n=m={n}: rank {result.diagnostics.rank}/25, residual {result.residual:.2e}, "
           f"sup {sup_err:.2e}, L1 {l1_err:.2e}, L2 {l2_err:.2e}")
 
 print()

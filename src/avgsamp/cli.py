@@ -8,6 +8,7 @@ reported in the outputs and only fail the run under --strict.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -17,11 +18,9 @@ from .experiments import (
     emit_surface,
     load_config,
     probability_sweep,
-    row_seed,
     run_table,
 )
-from .reconstruction import RankDeficientError, build_sample_matrix, solve
-from .mixed_space import LatticeSpline
+from .mixed_space import ByteGuardError, LatticeSpline
 from .sampling import draw_samples
 
 CSV_DOC = """\
@@ -105,23 +104,23 @@ def _cmd_table(args) -> int:
 
 def _cmd_surface(args) -> int:
     exp = load_config(args.config, args.seed)
+    if exp.phi.ndim > 2:
+        raise ValueError(f"surface output needs d = 1, got d = {exp.phi.ndim - 1}")
     nx, ny = _size_pair(args.grid, "--grid", "NXxNY")
     box = exp.cuboid.box
     grid_spec = {"x": [box[0][0], box[0][1], nx], "y": [box[1][0], box[1][1], ny]}
-    # draw and solve first, so that a run that fails leaves no partial output
+    # reconstruct first, as run_table's row of that size, so that a failing run writes nothing
     surfaces = {"f": exp.f} if args.which in ("f", "both") else {}
     code = 0
     if args.which in ("recon", "both"):
         n = exp.sample_sizes[0][0] if args.n is None else args.n
         m = exp.sample_sizes[0][1] if args.m is None else args.m
-        samples = draw_samples(exp.density, n, m, row_seed(exp.seed, n, m), exp.mode)
-        S = build_sample_matrix(exp.phi, exp.kernel, samples, exp.N)
-        try:
-            res = solve(S, S.entries @ exp.signal.flatten())
-            surfaces["recon"] = LatticeSpline(exp.phi, res.grid)
-        except RankDeficientError as exc:
-            print(f"reconstruction skipped: {exc}", file=sys.stderr)
+        (row,) = run_table(dataclasses.replace(exp, sample_sizes=[(n, m)])).rows
+        if row.grid is None:
+            print(f"reconstruction skipped: {row.diagnostics}", file=sys.stderr)
             code = 1
+        else:
+            surfaces["recon"] = LatticeSpline(exp.phi, row.grid)
     stem = args.out or "surface"
     for name, func in surfaces.items():
         path = f"{stem}.{name}.{args.format}"
@@ -199,7 +198,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ConfigError, FileNotFoundError, ValueError) as exc:
+    except (ConfigError, FileNotFoundError, ValueError, ByteGuardError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

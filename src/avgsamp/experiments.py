@@ -41,11 +41,11 @@ from .mixed_space import (
 )
 from .quadrature import QuadratureSpec
 from .reconstruction import (
+    Diagnostics,
     RankDeficientError,
     TrialSpec,
     beta_tilde,
     _sample_matrix,
-    conditioning,
     empirical_success,
     solve,
 )
@@ -192,6 +192,11 @@ class Experiment:
     def file_header(self) -> str:
         return f"config_sha256={self.hash} seed={self.seed} schema=avgsamp-v{SCHEMA_VERSION}"
 
+    def beta_tilde_value(self) -> float:
+        """The config's beta_tilde (see reconstruction.beta_tilde), computed anew on every call."""
+        return beta_tilde(self.phi, self.kernel, self.N, self.p, self.q, self.cuboid,
+                          self.stability_trials, self.seed, self.quad).value
+
 
 def load_config(path, seed_override: int | None = None) -> Experiment:
     with open(path, "r", encoding="utf-8") as fh:
@@ -293,23 +298,23 @@ class TableRow:
     n: int
     m: int
     seed: int
-    rank: int
-    rank_deficient: bool
-    sup_error: float
-    l1_error: float
-    l2_error: float
-    residual: float
-    sigma_min: float
-    condition_number: float
+    diagnostics: Diagnostics
+    sup_error: float = math.nan
+    l1_error: float = math.nan
+    l2_error: float = math.nan
+    residual: float = math.nan
+    grid: CoefficientGrid | None = None
+
+    rank = property(lambda self: self.diagnostics.rank)
+    rank_deficient = property(lambda self: self.diagnostics.rank_deficient)
 
 
 @dataclass
 class ResultTable:
-    """Reconstruction errors per sample size, plus run metadata."""
+    """Reconstruction errors per sample size, plus the run's file header (Experiment.file_header)."""
 
     rows: list[TableRow]
-    config_sha256: str
-    seed: int
+    header: str
 
     CSV_COLUMNS = ("n", "m", "sup_error", "l1_error", "l2_error",
                    "rank", "rank_deficient", "residual", "row_seed",
@@ -317,16 +322,14 @@ class ResultTable:
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="", encoding="utf-8") as fh:
-            fh.write(f"# config_sha256={self.config_sha256} seed={self.seed} "
-                     f"schema=avgsamp-v{SCHEMA_VERSION}\n")
+            fh.write(f"# {self.header}\n")
             writer = csv.writer(fh)
             writer.writerow(self.CSV_COLUMNS)
             for r in self.rows:
-                errs = ["", "", ""] if r.rank_deficient else [
-                    repr(r.sup_error), repr(r.l1_error), repr(r.l2_error)]
-                writer.writerow([r.n, r.m, *errs, r.rank, int(r.rank_deficient),
-                                 repr(r.residual) if not r.rank_deficient else "",
-                                 r.seed, repr(r.sigma_min), repr(r.condition_number)])
+                sup, l1, l2, res = ("" if r.rank_deficient else repr(v)
+                                    for v in (r.sup_error, r.l1_error, r.l2_error, r.residual))
+                writer.writerow([r.n, r.m, sup, l1, l2, r.rank, int(r.rank_deficient), res, r.seed,
+                                 repr(r.diagnostics.sigma_min), repr(r.diagnostics.condition_number)])
 
 
 def run_table(exp: Experiment) -> ResultTable:
@@ -341,11 +344,9 @@ def run_table(exp: Experiment) -> ResultTable:
     sqrt(delta^T G delta) with G the shift Gram over the cuboid, taken by
     mode products of delta with the per-axis Grams (G is not formed).
     The per-axis Grams and the generators convolved with the kernel are
-    built once per call.  Every
-    row also carries the sample matrix's smallest singular value and
-    condition number.
-    Rank-deficient draws are recorded with the observed rank, those two
-    values and empty error fields; they are reported, never retried.
+    built once per call.  Every row carries the sample matrix's Diagnostics,
+    and a full-rank row the recovered coefficient grid.  Rank-deficient
+    draws are recorded with NaN errors; they are reported, never retried.
     """
     convolved = [convolve(g, exp.kernel) for g in exp.phi.generators]
     term_grams = _term_grams(exp.phi.generators, exp.N, exp.cuboid, exp.quad)
@@ -357,17 +358,15 @@ def run_table(exp: Experiment) -> ResultTable:
         try:
             res = solve(S, S.entries @ exp.signal.flatten())
         except RankDeficientError as exc:
-            rows.append(TableRow(n, m, rseed, exc.rank, True, math.nan, math.nan, math.nan,
-                                 math.nan, *conditioning(exc.singular_values, exc.columns)))
+            rows.append(TableRow(n, m, rseed, exc.diagnostics))
             continue
         delta = CoefficientGrid(exp.signal.values - res.grid.values, exp.N)
         spline = LatticeSpline(exp.phi, delta)
         sup = sup_norm(spline, exp.cuboid)
         l1 = abs_integral(spline, exp.cuboid, exp.quad)
         l2 = math.sqrt(max(_gram_form(term_grams, delta), 0.0))
-        rows.append(TableRow(n, m, rseed, res.rank, False, sup, l1, l2, res.residual,
-                             *conditioning(res.singular_values, delta.size)))
-    return ResultTable(rows, exp.hash, exp.seed)
+        rows.append(TableRow(n, m, rseed, res.diagnostics, sup, l1, l2, res.residual, res.grid))
+    return ResultTable(rows, exp.file_header())
 
 
 def emit_surface(func: LatticeSpline, grid_spec: dict, path, exp: Experiment | None = None,
@@ -433,10 +432,7 @@ def probability_sweep(exp: Experiment, nm_list, trials: int,
     if theorem not in SWEEP_THEOREMS:
         raise ValueError(f"unknown sweep theorem {theorem!r}")
     selector, kind, bound_keys = SWEEP_THEOREMS[theorem]
-    bt = None
-    if theorem == "recovery":
-        bt = beta_tilde(exp.phi, exp.kernel, exp.N, exp.p, exp.q, exp.cuboid,
-                        exp.stability_trials, exp.seed, exp.quad).value
+    bt = exp.beta_tilde_value() if theorem == "recovery" else None
     records = []
     for n, m in nm_list:
         rep = constants_report(exp, selector, n=n, m=m, beta_tilde=bt)
@@ -488,10 +484,7 @@ def constants_report(exp: Experiment, selector: str, **extra) -> BoundReport:
         rep = concentration_class_report(params, delta, eps, gamma, n, m)
     elif selector == "reconstruction":
         bt = defaults.get("beta_tilde")
-        if bt is None:
-            bt = beta_tilde(exp.phi, exp.kernel, exp.N, exp.p, exp.q, exp.cuboid,
-                            exp.stability_trials, exp.seed, exp.quad).value
-        rep = reconstruction_report(params, gamma, float(bt), n, m)
+        rep = reconstruction_report(params, gamma, float(exp.beta_tilde_value() if bt is None else bt), n, m)
     else:
         raise ConfigError(f"unknown selector {selector!r}")
     rep.flags.update(stability_certified=exp.stability_certified, decay_fitted=exp.decay_fitted)

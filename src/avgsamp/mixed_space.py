@@ -622,6 +622,10 @@ def _term_grams(funcs, N: int, region, quad: QuadratureSpec) -> list:
 GRAM_BYTES = 256 << 20
 
 
+class ByteGuardError(MemoryError):
+    """An array refused before allocation because it would exceed a byte limit such as GRAM_BYTES."""
+
+
 def _shift_gram(funcs, N: int, region, quad: QuadratureSpec) -> np.ndarray:
     """Dense Gram matrix of the shifts f_i(. - k), |k| <= N, over the region (None: everywhere).
 
@@ -630,14 +634,14 @@ def _shift_gram(funcs, N: int, region, quad: QuadratureSpec) -> np.ndarray:
     tests use it as the oracle.  Rows and columns run over (i, k) in
     CoefficientGrid.flatten order.  Block (i, j) is the sum over term
     pairs of w v times the Kronecker product of their per-axis Grams
-    (_term_grams).  A Gram above GRAM_BYTES raises MemoryError before
+    (_term_grams).  A Gram above GRAM_BYTES raises ByteGuardError before
     anything is allocated.
     """
     side = len(funcs) * (2 * N + 1) ** funcs[0].ndim
     if 8 * side * side > GRAM_BYTES:
         mb = 8 * side * side / 2 ** 20
-        raise MemoryError(f"dense shift Gram of side {side} needs {mb:.0f} MB, about {3 * mb:.0f} MB "
-                          f"with eigvalsh's work arrays, above GRAM_BYTES ({GRAM_BYTES >> 20} MB)")
+        raise ByteGuardError(f"dense shift Gram of side {side} needs {mb:.0f} MB, about {3 * mb:.0f} MB "
+                             f"with eigvalsh's work arrays, above GRAM_BYTES ({GRAM_BYTES >> 20} MB)")
     blocks = [[0] * len(funcs) for _ in funcs]
     for i, j, wv, grams in _term_grams(funcs, N, region, quad):
         blocks[i][j] = blocks[i][j] + wv * reduce(np.kron, grams)

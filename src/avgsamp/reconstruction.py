@@ -46,25 +46,36 @@ RANK_TOL = 1e-10
 RECOVERY_TOL = 1e-9
 
 
+@dataclass(frozen=True)
+class Diagnostics:
+    """A draw's sample matrix: numerical rank (RANK_TOL), columns, columns-th singular value (0 with
+    fewer rows) and condition number (inf then).  rank_deficient is the package's one rank decision."""
+
+    rank: int
+    columns: int
+    sigma_min: float
+    condition_number: float
+
+    @classmethod
+    def of(cls, sv: np.ndarray, rank, columns: int) -> "Diagnostics":
+        smin = float(sv[columns - 1]) if len(sv) >= columns else 0.0
+        return cls(int(rank), columns, smin, float(sv[0]) / smin if smin > 0.0 else math.inf)
+
+    @property
+    def rank_deficient(self) -> bool:
+        return self.rank < self.columns
+
+    def __str__(self) -> str:
+        return (f"sample matrix has numerical rank {self.rank} "
+                f"{'<' if self.rank_deficient else '='} {self.columns} columns")
+
+
 class RankDeficientError(ValueError):
-    """Sample matrix is numerically rank deficient; carries the observed rank
-    and the singular values of the thin SVD that found it."""
+    """Sample matrix is numerically rank deficient; carries the Diagnostics that found it."""
 
-    def __init__(self, rank: int, columns: int, singular_values: np.ndarray):
-        super().__init__(f"sample matrix has numerical rank {rank} < {columns} columns")
-        self.rank = rank
-        self.columns = columns
-        self.singular_values = singular_values
-
-
-def conditioning(singular_values: np.ndarray, columns: int) -> tuple[float, float]:
-    """(sigma_min, condition_number) of a matrix with the given column count.
-
-    sigma_min is the columns-th singular value, zero when there are fewer
-    rows than columns; the condition number is infinite when it is zero.
-    """
-    smin = float(singular_values[columns - 1]) if len(singular_values) >= columns else 0.0
-    return smin, float(singular_values[0]) / smin if smin > 0.0 else math.inf
+    def __init__(self, diagnostics: Diagnostics):
+        super().__init__(str(diagnostics))
+        self.diagnostics = diagnostics
 
 
 @dataclass
@@ -75,12 +86,12 @@ class SampleMatrix:
     row = (j, k) in row-major order and col = (i, k1, k2) with the shift
     multi-index in lexicographic order.
 
-    kron is (A_x, B_y) for a separable draw of one generator of one
-    tensor term w g_0(x) prod_a g_a(y_a), and None for any other matrix.
+    factors holds the per-mode matrices whose Kronecker product is entries:
+    (A_x, B_y) for a separable draw of one generator of one tensor term
+    w g_0(x) prod_a g_a(y_a); __post_init__ makes it (entries,) otherwise.
     A_x[j, k1] = w g_0(x_j - k1) at the n distinct x's, and B_y, at the m
     distinct y's, is the row-wise Khatri-Rao product of the g_a(y_a - k2_a);
-    kron(A_x, B_y) equals entries up to rounding.  factors is that pair, or
-    (entries,): the per-mode matrices whose Kronecker product is entries.
+    kron(A_x, B_y) equals entries up to rounding.
     """
 
     entries: np.ndarray
@@ -88,20 +99,17 @@ class SampleMatrix:
     kernel: AveragingKernel
     samples: SampleSet
     N: int
-    kron: tuple | None = field(default=None, repr=False)
+    factors: tuple = field(default=(), repr=False)
 
     def __post_init__(self) -> None:
-        if self.kron is not None and self.entries.shape != (
-                math.prod(F.shape[0] for F in self.kron), math.prod(F.shape[1] for F in self.kron)):
+        if len(self.factors) < 2:
+            self.factors = (self.entries,)
+        elif self.entries.shape != tuple(math.prod(n) for n in zip(*(F.shape for F in self.factors))):
             raise ValueError("the Kronecker factors do not match the entries' shape")
 
     @property
     def shape(self) -> tuple[int, int]:
         return self.entries.shape
-
-    @property
-    def factors(self) -> tuple:
-        return (self.entries,) if self.kron is None else self.kron
 
 
 def build_sample_matrix(phi: GeneratorSet, kernel: AveragingKernel,
@@ -118,10 +126,10 @@ def _sample_matrix(phi: GeneratorSet, kernel: AveragingKernel, convolved,
     return SampleMatrix(entries, phi, kernel, samples, N, _kron_factors(convolved, samples, offsets))
 
 
-def _kron_factors(convolved, samples: SampleSet, offsets: np.ndarray) -> tuple | None:
-    """SampleMatrix.kron: (A_x, B_y) of a separable draw of one one-term generator, else None."""
+def _kron_factors(convolved, samples: SampleSet, offsets: np.ndarray) -> tuple:
+    """SampleMatrix.factors: (A_x, B_y) of a separable draw of one one-term generator, else ()."""
     if samples.mode != "separable" or len(convolved) != 1 or len(convolved[0].terms) != 1:
-        return None
+        return ()
     (f,), ((_, fs),) = convolved, convolved[0].terms
     A = _axis_values(f, samples.points[::samples.m], 0, offsets)[:, :, 0]
     B = _shifted_values((TensorFunction.separable(fs[1:]),), samples.points[:samples.m, 1:],
@@ -138,7 +146,7 @@ def _factored_svd(factors) -> tuple[list, np.ndarray, np.ndarray]:
     factors' ones, sorted descending and padded with exact zeros to S's
     min(rows, cols).  The rank counts those above RANK_TOL times S's largest
     column norm, the product of the factors' largest ones.  Nothing raises
-    here: callers compare the rank with the column count.
+    here: callers read Diagnostics.of(sv, rank, columns).rank_deficient.
     """
     svds = [np.linalg.svd(F, full_matrices=False) for F in factors]
     rows, cols = math.prod(F.shape[-2] for F in factors), math.prod(F.shape[-1] for F in factors)
@@ -163,12 +171,11 @@ def _apply_pinv(svds, sample_values) -> np.ndarray:
 
 @dataclass
 class LstsqResult:
-    """Minimum-norm least-squares solution with rank and residual diagnostics."""
+    """Minimum-norm least-squares solution with its residual and S's Diagnostics."""
 
     grid: CoefficientGrid
     residual: float
-    rank: int
-    singular_values: np.ndarray
+    diagnostics: Diagnostics
 
 
 def solve(S: SampleMatrix, samples_vec) -> LstsqResult:
@@ -187,16 +194,16 @@ def solve(S: SampleMatrix, samples_vec) -> LstsqResult:
     family = dual_family(S)
     grid = family.coefficients(b)
     residual = float(np.linalg.norm(S.entries @ grid.flatten() - b))
-    return LstsqResult(grid, residual, len(family.sv), family.sv)
+    return LstsqResult(grid, residual, family.diagnostics)
 
 
 @dataclass
 class DualFamily:
     """Dual functions realized through the minimum-norm pseudo-inverse.
 
-    svds: the thin SVD (U, sv, Vt) of each matrix in S.factors; sv: the
-    singular values of the sampling matrix S, their Kronecker product.  S's
-    pseudo-inverse, which maps sample values to coefficients, is the
+    svds: the thin SVD (U, sv, Vt) of each matrix in S.factors; diagnostics:
+    S's Diagnostics, from the Kronecker product of the factors' singular
+    values.  S's pseudo-inverse, which maps sample values to coefficients, is the
     Kronecker product of the factors' ones: coefficients applies it through
     _apply_pinv, and solve takes its coefficients from there.  The dual
     function for sample (j, k) is the reconstruction of the unit sample at
@@ -207,7 +214,7 @@ class DualFamily:
 
     S: SampleMatrix
     svds: list
-    sv: np.ndarray
+    diagnostics: Diagnostics
 
     def coefficients(self, sample_values) -> CoefficientGrid:
         return CoefficientGrid.from_flat(_apply_pinv(self.svds, sample_values),
@@ -228,11 +235,12 @@ class DualFamily:
 
 def dual_family(S: SampleMatrix) -> DualFamily:
     """Pseudo-inverse dual family from the thin SVDs of S.factors; the one place
-    that raises RankDeficientError, when _factored_svd's rank is below S's columns."""
+    that raises RankDeficientError, when S's Diagnostics read rank deficient."""
     svds, sv, rank = _factored_svd(S.factors)
-    if rank < S.shape[1]:
-        raise RankDeficientError(int(rank), S.shape[1], sv)
-    return DualFamily(S, svds, sv)
+    diagnostics = Diagnostics.of(sv, rank, S.shape[1])
+    if diagnostics.rank_deficient:
+        raise RankDeficientError(diagnostics)
+    return DualFamily(S, svds, diagnostics)
 
 
 @dataclass
@@ -352,25 +360,22 @@ class TrialSpec:
 
 @dataclass
 class TrialRecord:
-    """Outcome of one trial; recovery trials also carry the sample matrix's
-    smallest singular value and condition number (None for inequality trials)."""
+    """Outcome of one trial with its sample matrix's Diagnostics (None for inequality trials)."""
 
     trial: int
     seed: int
     success: bool
-    rank: int
-    rank_deficient: bool
     error: float
-    sigma_min: float | None = None
-    condition_number: float | None = None
+    diagnostics: Diagnostics | None = None
 
     def to_json(self) -> str:
+        d = self.diagnostics
         return json.dumps({
             "trial": self.trial, "seed": self.seed, "success": self.success,
-            "rank": self.rank, "rank_deficient": self.rank_deficient,
+            "rank": d and d.rank, "rank_deficient": d and d.rank_deficient,
             "error": _jsonable(self.error),
-            "sigma_min": _jsonable(self.sigma_min),
-            "condition_number": _jsonable(self.condition_number),
+            "sigma_min": d and _jsonable(d.sigma_min),
+            "condition_number": d and _jsonable(d.condition_number),
         }, sort_keys=True)
 
 
@@ -458,17 +463,12 @@ def empirical_success(spec: TrialSpec, trials: int, seed: int,
                 else:
                     stat = float(np.sum(np.abs(vals)))
                 ok = lower * fnorm <= stat <= upper * fnorm
-                records.append(TrialRecord(t, tseed, bool(ok), min(rows, cols), False, 0.0))
+                records.append(TrialRecord(t, tseed, bool(ok), 0.0))
                 continue
-            smin, cond = conditioning(sv[b], cols)
-            rank = int(ranks[b])
-            if rank < cols:
-                records.append(TrialRecord(t, tseed, False, rank, True, math.inf, smin, cond))
-                continue
-            x = _apply_pinv([(U[b], sv[b], Vt[b])], values[b])
-            err = float(np.max(np.abs(x - target)))
-            records.append(TrialRecord(t, tseed, err <= RECOVERY_TOL, cols, False, err,
-                                       smin, cond))
+            diagnostics = Diagnostics.of(sv[b], ranks[b], cols)
+            err = math.inf if diagnostics.rank_deficient else float(np.max(np.abs(
+                _apply_pinv([(U[b], sv[b], Vt[b])], values[b]) - target)))
+            records.append(TrialRecord(t, tseed, err <= RECOVERY_TOL, err, diagnostics))
 
     if jsonl_path is not None:
         with open(jsonl_path, "w", encoding="utf-8") as fh:

@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mixed_space import BLOCK_BYTES, DEFAULT_QUAD, Cuboid, LatticeSpline, TensorFunction, _clip_box
+from .mixed_space import (BLOCK_BYTES, DEFAULT_QUAD, Cuboid, LatticeSpline, TensorFunction, _clip_box,
+                          box_function)
 from .piecewise import PiecewisePoly1D, _poly_eval, _real_roots
 from .quadrature import QuadratureSpec, axis_rule
 
@@ -122,8 +123,6 @@ class AveragingKernel:
 
     @classmethod
     def box(cls, bounds, region: Cuboid, weight: float = 1.0) -> "AveragingKernel":
-        from .mixed_space import box_function
-
         return cls(box_function(bounds, weight), region)
 
 

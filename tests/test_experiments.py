@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from scipy.special import zeta
 
-from avgsamp import experiments
+from avgsamp import cli, experiments
 from avgsamp.bounds import lattice_decay_sum
 from avgsamp.cli import main
 from avgsamp.experiments import (
@@ -26,6 +26,7 @@ from avgsamp.experiments import (
 )
 from avgsamp.mixed_space import (
     CoefficientGrid,
+    LatticeSpline,
     _shift_gram,
     mixed_norm,
     synthesize,
@@ -384,11 +385,14 @@ class TestRunTable:
             samples = draw_samples(exp.density, row.n, row.m, row.seed, exp.mode)
             sv = np.linalg.svd(build_sample_matrix(exp.phi, exp.kernel, samples, exp.N).entries,
                                compute_uv=False)
+            diag = row.diagnostics
+            assert diag.columns == exp.signal.size
             if row.rank_deficient:
-                assert row.sigma_min == 0.0 and row.condition_number == math.inf
+                assert diag.sigma_min == 0.0 and diag.condition_number == math.inf
+                assert row.grid is None
             else:
-                assert row.sigma_min == pytest.approx(sv[-1], rel=1e-12)
-                assert row.condition_number == pytest.approx(sv[0] / sv[-1], rel=1e-12)
+                assert diag.sigma_min == pytest.approx(sv[-1], rel=1e-12)
+                assert diag.condition_number == pytest.approx(sv[0] / sv[-1], rel=1e-12)
 
     def test_reseeded_run_still_accurate(self):
         exp = build_experiment(minimal_config(), seed_override=123456)
@@ -690,14 +694,52 @@ class TestCli:
         assert (tmp_path / "surf.f.csv").exists()
         assert (tmp_path / "surf.recon.csv").exists()
 
-    def test_surface_refuses_higher_dimension(self, tmp_path, capsys):
+    def test_surface_reconstruction_is_the_table_row(self, tmp_path):
+        # surface --which recon draws nothing itself: its values are run_table's row of that size
+        cfg = self._write_config(tmp_path)
+        stem = tmp_path / "surf"
+        assert main(["surface", "--config", str(cfg), "--out", str(stem), "--which", "recon",
+                     "--n", "6", "--m", "5", "--grid", "7x9", "--format", "json"]) == 0
+        doc = json.loads((tmp_path / "surf.recon.json").read_text())
+        exp = build_experiment(dict(minimal_config(), samples={"sizes": [[6, 5]]}))
+        (row,) = run_table(exp).rows
+        want = LatticeSpline(exp.phi, row.grid).evaluate_grid([np.array(doc["x"]), np.array(doc["y"])])
+        assert np.array_equal(np.array(doc["values"]), want)
+        assert doc["config_sha256"] == load_config(cfg).hash
+
+    def test_memory_guard_exits_2_with_an_error(self, tmp_path, capsys):
+        # the dense shift Gram of two generators at d = 2, N = 7 has side 2 * 15^3 = 6750
+        raw = json.loads((ROOT / "perfbench" / "configs" / "scale_d2.json").read_text(encoding="utf-8"))
+        raw["space"]["N"] = 7
+        raw["generators"]["bsplines"].append({"degree": 1, "shift": [0, 0, 0]})
+        cfg = tmp_path / "big.json"
+        cfg.write_text(json.dumps(raw))
+        out = tmp_path / "t.csv"
+        assert main(["table", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: dense shift Gram of side 6750 needs 348 MB") and "GRAM_BYTES" in err
+        assert not out.exists()
+
+    def test_out_of_memory_is_not_a_refusal(self, tmp_path, monkeypatch):
+        # only a byte guard's refusal exits 2; a real allocation failure propagates
+        def fail(exp):
+            raise MemoryError("Unable to allocate")
+
+        monkeypatch.setattr(cli, "run_table", fail)
+        with pytest.raises(MemoryError, match="Unable to allocate"):
+            main(["table", "--config", str(self._write_config(tmp_path)), "--out", str(tmp_path / "t.csv")])
+
+    @pytest.mark.parametrize("which", ["f", "recon", "both"])
+    def test_surface_refuses_higher_dimension(self, tmp_path, capsys, monkeypatch, which):
+        # refused before any table work
+        monkeypatch.setattr(cli, "run_table", None)
         cfg = tmp_path / "d2.json"
         cfg.write_text(json.dumps(d2_config()))
         stem = tmp_path / "surf"
-        assert main(["surface", "--config", str(cfg), "--out", str(stem), "--which", "f"]) == 2
+        assert main(["surface", "--config", str(cfg), "--out", str(stem), "--which", which]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and "d = 2" in err
-        assert not (tmp_path / "surf.f.csv").exists()
+        assert err == "error: surface output needs d = 1, got d = 2\n"
+        assert [p.name for p in tmp_path.iterdir()] == [cfg.name]
 
     @pytest.mark.parametrize("argv, message", [(["--n", "0", "--grid", "5x5"], "sample counts"),
                                                (["--grid", "5"], "--grid takes NXxNY")])

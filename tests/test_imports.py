@@ -21,7 +21,9 @@ holds the rank rule, and ``RankDeficientError`` is constructed only in
 ``reconstruction.dual_family``.  Nor may a second application of the
 pseudo-inverse: only ``reconstruction._apply_pinv`` divides by the
 singular values ``sv``, so coefficients, dual functions and the recovery
-sweep share it.
+sweep share it.  Nor may a second rank decision: only the record's
+``reconstruction.Diagnostics.rank_deficient`` compares a rank with a column
+count.
 """
 
 import ast
@@ -209,3 +211,37 @@ def test_detects_a_second_pseudo_inverse_application():
                      "class F:\n    def g(self, i):\n        return self.Vt.T @ (self.U[i] / sv)\n"
                      "def h(s, smin):\n    return s[0] / smin\n")
     assert call_sites({"m.py": tree}, divides_by_singular_values) == {"m.a", "m.F.g"}
+
+
+def compares_rank_with_columns(node) -> bool:
+    """A comparison with a rank on one side and a column count on another: a rank is a name
+    rank or ranks or an attribute .rank, a column count a name cols or columns, an attribute
+    .columns or a .shape[1] or .shape[-1]."""
+    def is_rank(n):
+        return ((isinstance(n, ast.Name) and n.id in ("rank", "ranks"))
+                or (isinstance(n, ast.Attribute) and n.attr == "rank"))
+
+    def is_columns(n):
+        return ((isinstance(n, ast.Name) and n.id in ("cols", "columns"))
+                or (isinstance(n, ast.Attribute) and n.attr == "columns")
+                or (isinstance(n, ast.Subscript) and isinstance(n.value, ast.Attribute)
+                    and n.value.attr == "shape" and ast.unparse(n.slice) in ("1", "-1")))
+
+    if not isinstance(node, ast.Compare):
+        return False
+    sides = [list(ast.walk(side)) for side in [node.left, *node.comparators]]
+    return any(any(map(is_rank, a)) and any(map(is_columns, b))
+               for i, a in enumerate(sides) for j, b in enumerate(sides) if i != j)
+
+
+def test_one_rank_decision():
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in PACKAGE.glob("*.py")}
+    assert call_sites(trees, compares_rank_with_columns) == {"reconstruction.Diagnostics.rank_deficient"}
+
+
+def test_detects_a_second_rank_decision():
+    tree = ast.parse("def a(S, rank):\n    return rank < S.shape[1]\n"
+                     "def b(ranks, cols, t):\n    return cols > ranks[t]\n"
+                     "class D:\n    def c(self):\n        return self.rank == self.columns\n"
+                     "def d(S, rank, sv):\n    return rank < S.shape[0] or len(sv) >= S.shape[-1]\n")
+    assert call_sites({"m.py": tree}, compares_rank_with_columns) == {"m.a", "m.b", "m.D.c"}

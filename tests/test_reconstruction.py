@@ -1,6 +1,7 @@
 """Tests for matrix assembly, recovery, dual functions and trial loops."""
 
 import hashlib
+import json
 import math
 from pathlib import Path
 
@@ -25,9 +26,9 @@ from avgsamp.reconstruction import (
     RECOVERY_TOL,
     RankDeficientError,
     TrialSpec,
+    _factored_svd,
     beta_tilde,
     build_sample_matrix,
-    conditioning,
     dual_family,
     empirical_success,
     membership,
@@ -111,7 +112,7 @@ class TestSolve:
         values = convolve(synthesize(phi, coeffs), kernel).evaluate(samples.points)
         res = solve(S, values)
         assert np.max(np.abs(res.grid.values - coeffs.values)) <= 1e-9
-        assert res.rank == 25
+        assert res.diagnostics.rank == 25
 
     def test_duplicated_rows_leave_solution_unchanged(self, quadratic_setup):
         ck, rho, kernel, phi, coeffs = quadratic_setup
@@ -132,11 +133,12 @@ class TestSolve:
         S = build_sample_matrix(phi, kernel, samples, 2)
         with pytest.raises(RankDeficientError) as err:
             solve(S, np.zeros(1))
-        assert err.value.rank <= 1
-        assert err.value.columns == 25
+        diag = err.value.diagnostics
+        assert diag.rank <= 1
+        assert diag.columns == 25 and diag.rank_deficient
         # the one singular value of a single row; the 25th is missing
-        assert err.value.singular_values.shape == (1,)
-        assert conditioning(err.value.singular_values, 25) == (0.0, math.inf)
+        assert _factored_svd(S.factors)[1].shape == (1,)
+        assert (diag.sigma_min, diag.condition_number) == (0.0, math.inf)
 
     def test_vector_length_checked(self, quadratic_setup):
         ck, rho, kernel, phi, _ = quadratic_setup
@@ -339,7 +341,7 @@ class TestEmpiricalSuccess:
         spec = TrialSpec("recovery", phi, kernel, rho, coeffs, 2, 2, 2)
         summary = empirical_success(spec, trials=5, seed=52)
         assert summary.fraction == 0.0
-        assert all(r.rank_deficient for r in summary.records)
+        assert all(r.diagnostics.rank_deficient for r in summary.records)
 
     def test_records_serialize_to_jsonl(self, quadratic_setup, tmp_path):
         ck, rho, kernel, phi, coeffs = quadratic_setup
@@ -354,6 +356,20 @@ class TestEmpiricalSuccess:
         assert set(rec) == {"trial", "seed", "success", "rank", "rank_deficient", "error",
                             "sigma_min", "condition_number"}
         assert 0.0 < rec["sigma_min"] <= rec["sigma_min"] * rec["condition_number"]
+
+    @pytest.mark.parametrize("kind", ["omega_inequality", "mu_inequality"])
+    def test_inequality_records_carry_no_matrix_diagnostics(self, quadratic_setup, tmp_path, kind):
+        # inequality trials build no sample matrix, so no rank is written
+        ck, rho, kernel, phi, coeffs = quadratic_setup
+        spec = TrialSpec(kind, phi, kernel, rho, coeffs, 2, 6, 6, bounds=(0.0, 1.0))
+        path = tmp_path / "trials.jsonl"
+        summary = empirical_success(spec, trials=3, seed=53, jsonl_path=path)
+        assert all(r.diagnostics is None for r in summary.records)
+        for line in path.read_text().splitlines():
+            rec = json.loads(line)
+            assert (rec["rank"], rec["rank_deficient"], rec["sigma_min"], rec["condition_number"]) == (
+                None, None, None, None)
+            assert '"rank": null' in line
 
     def test_determinism(self, quadratic_setup):
         ck, rho, kernel, phi, coeffs = quadratic_setup
@@ -431,11 +447,13 @@ def separable_draws(quadratic_setup):
 
 def factored(S):
     """(DualFamily or None, rank, singular values) of the factored path."""
+    _, sv, rank = _factored_svd(S.factors)
     try:
         fam = dual_family(S)
-        return fam, S.shape[1], fam.sv
     except RankDeficientError as exc:
-        return None, exc.rank, exc.singular_values
+        fam = None
+        assert exc.diagnostics.rank == rank
+    return fam, int(rank), sv
 
 
 def pinv_tolerance(kappa: float) -> float:
@@ -498,8 +516,9 @@ class TestKroneckerFactors:
             S = build_sample_matrix(phi, kernel, draw_samples(rho, n, m, 5, "separable"), 2)
             with pytest.raises(RankDeficientError) as err:
                 solve(S, np.zeros(n * m))
-            assert err.value.rank <= 4 * min(m, 5) < 25
-            assert conditioning(err.value.singular_values, 25) == (0.0, math.inf)
+            diag = err.value.diagnostics
+            assert diag.rank <= 4 * min(m, 5) < 25
+            assert (diag.sigma_min, diag.condition_number) == (0.0, math.inf)
 
     def test_other_matrices_keep_one_factor_and_their_bytes(self, quadratic_setup):
         _, rho, kernel, _, _ = quadratic_setup
@@ -521,10 +540,10 @@ class TestKroneckerFactors:
         for name, (funcs, N, mode, n, m, want) in pinned.items():
             phi = GeneratorSet(funcs, 1.0, 2, 2, 0.1, 1.0)
             S = build_sample_matrix(phi, kernel, draw_samples(rho, n, m, 47, mode), N)
-            assert S.kron is None and len(S.factors) == 1 and S.factors[0] is S.entries, name
+            assert len(S.factors) == 1 and S.factors[0] is S.entries, name
             res = solve(S, np.random.default_rng(48).standard_normal(n * m))
             got = (digest(res.grid.values), digest(dual_family(S).function(2, 3).coefficients.values),
-                   res.residual, float(res.singular_values[-1]))
+                   res.residual, res.diagnostics.sigma_min)
             assert got == want, name
 
     def test_stale_factors_are_refused(self, quadratic_setup):
@@ -534,6 +553,17 @@ class TestKroneckerFactors:
         S = build_sample_matrix(phi, kernel, draw_samples(rho, 6, 6, 3, "separable"), 2)
         with pytest.raises(ValueError, match="Kronecker factors"):
             dataclasses.replace(S, entries=S.entries[:30])
+
+    def test_replaced_entries_are_their_own_factor(self, quadratic_setup):
+        # a one-factor matrix is its entries, so replacing them (same shape) solves the new matrix
+        import dataclasses
+
+        ck, rho, kernel, phi, coeffs = quadratic_setup
+        S = build_sample_matrix(phi, kernel, draw_samples(rho, 6, 6, 3), 2)
+        S2 = dataclasses.replace(S, entries=S.entries[::-1])
+        assert len(S2.factors) == 1 and S2.factors[0] is S2.entries
+        res = solve(S2, S2.entries @ coeffs.flatten())
+        assert np.max(np.abs(res.grid.values - coeffs.values)) <= 1e-9 and res.residual <= 1e-9
 
 
 def test_separable_tables_never_take_a_dense_svd(monkeypatch, config_dir):

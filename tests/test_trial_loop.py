@@ -2,8 +2,8 @@
 
 The reference draws each trial, builds its sample matrix (convolving the
 generators again), takes the sample values as S c and solves it on its own
-with a dense SVD of S and the RANK_TOL rule written out (dense_solve, this
-file's oracle).  empirical_success must give
+with a dense SVD of S and the RANK_TOL rule and the diagnostics written out
+(dense_solve, this file's oracle).  empirical_success must give
 the same records, compared with float equality: hoisting and batching
 change the order in which the work is done, not the arithmetic.
 """
@@ -28,7 +28,7 @@ from avgsamp.mixed_space import (
 from avgsamp.reconstruction import (
     RANK_TOL,
     RECOVERY_TOL,
-    RankDeficientError,
+    Diagnostics,
     TrialRecord,
     TrialSpec,
     _batch_size,
@@ -38,17 +38,19 @@ from avgsamp.reconstruction import (
 from avgsamp.sampling import AveragingKernel, Density, convolve, draw_samples
 
 
-def dense_solve(entries: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Minimum-norm solution V diag(1 / sv) U^T values from one dense thin SVD.
+def dense_solve(entries: np.ndarray, values: np.ndarray) -> tuple[np.ndarray | None, Diagnostics]:
+    """(minimum-norm solution V diag(1 / sv) U^T values, diagnostics) from one dense thin SVD.
 
     The rank counts the singular values above RANK_TOL times the largest
-    column norm; below full column rank it raises RankDeficientError.
+    column norm; below full column rank the solution is None.  sigma_min
+    is the last singular value, 0 with fewer rows than columns.
     """
     U, sv, Vt = np.linalg.svd(entries, full_matrices=False)
+    rows, cols = entries.shape
     rank = int(np.sum(sv > RANK_TOL * max(np.linalg.norm(entries, axis=0).max(), 1e-300)))
-    if rank < entries.shape[1]:
-        raise RankDeficientError(rank, entries.shape[1], sv)
-    return Vt.T @ ((U.T @ values) / sv)
+    smin = float(sv[-1]) if rows >= cols else 0.0
+    diag = Diagnostics(rank, cols, smin, float(sv[0]) / smin if smin > 0.0 else math.inf)
+    return (None if rank < cols else Vt.T @ ((U.T @ values) / sv)), diag
 
 
 def reference_records(spec: TrialSpec, trials: int, seed: int) -> list[TrialRecord]:
@@ -64,18 +66,12 @@ def reference_records(spec: TrialSpec, trials: int, seed: int) -> list[TrialReco
         samples = draw_samples(spec.rho, spec.n, spec.m, tseed, spec.mode)
         if spec.kind == "recovery":
             S = build_sample_matrix(spec.phi, spec.kernel, samples, spec.N)
-            values = S.entries @ spec.coeffs.flatten()
-            sv = np.linalg.svd(S.entries, full_matrices=False)[1]
-            rows, cols = S.shape
-            smin = float(sv[-1]) if rows >= cols else 0.0
-            cond = float(sv[0]) / smin if smin > 0.0 else math.inf
-            try:
-                x = dense_solve(S.entries, values)
+            x, diag = dense_solve(S.entries, S.entries @ spec.coeffs.flatten())
+            if x is None:
+                rec = TrialRecord(t, tseed, False, math.inf, diag)
+            else:
                 err = float(np.max(np.abs(x - spec.coeffs.flatten())))
-                rec = TrialRecord(t, tseed, err <= RECOVERY_TOL, cols, False, err,
-                                  smin, cond)
-            except RankDeficientError as exc:
-                rec = TrialRecord(t, tseed, False, exc.rank, True, math.inf, smin, cond)
+                rec = TrialRecord(t, tseed, err <= RECOVERY_TOL, err, diag)
         else:
             values = conv.evaluate(samples.points).reshape(spec.n, spec.m)
             if spec.kind == "omega_inequality":
@@ -83,8 +79,7 @@ def reference_records(spec: TrialSpec, trials: int, seed: int) -> list[TrialReco
             else:
                 stat = float(np.sum(np.abs(values)))
             ok = lower * fnorm <= stat <= upper * fnorm
-            rec = TrialRecord(t, tseed, bool(ok), min(spec.n * spec.m, spec.coeffs.size),
-                              False, 0.0)
+            rec = TrialRecord(t, tseed, bool(ok), 0.0)
         records.append(rec)
     return records
 
@@ -132,7 +127,7 @@ def test_records_match_the_per_trial_loop(setup, kind, density, mode, n, m, boun
     got = assert_same(spec, trials, seed=61)
     if kind != "recovery":
         assert 0 < got.successes < trials
-        assert all(r.sigma_min is None and r.condition_number is None for r in got.records)
+        assert all(r.diagnostics is None for r in got.records)
 
 
 def test_near_singular_draws_match(setup):
@@ -140,17 +135,17 @@ def test_near_singular_draws_match(setup):
     # full-rank draws miss the recovery tolerance
     spec = spec_for(setup, "recovery")
     got = assert_same(spec, 300, seed=62)
-    assert any(r.rank_deficient for r in got.records)
-    assert any(not r.rank_deficient and not r.success for r in got.records)
-    assert all(r.condition_number >= 1.0 for r in got.records)
+    assert any(r.diagnostics.rank_deficient for r in got.records)
+    assert any(not r.diagnostics.rank_deficient and not r.success for r in got.records)
+    assert all(r.diagnostics.condition_number >= 1.0 for r in got.records)
 
 
 def test_all_rank_deficient_draws_match(setup):
     spec = spec_for(setup, "recovery", n=2, m=2)
     got = assert_same(spec, 7, seed=63)
     assert got.successes == 0
-    assert all(r.rank_deficient and r.sigma_min == 0.0 and r.condition_number == math.inf
-               for r in got.records)
+    assert all(r.diagnostics.rank_deficient and r.diagnostics.sigma_min == 0.0
+               and r.diagnostics.condition_number == math.inf for r in got.records)
 
 
 def test_memory_is_bounded_in_the_trial_count(config_dir):
