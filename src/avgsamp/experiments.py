@@ -144,7 +144,9 @@ class Experiment:
 
     f, the signal, and conv = f * psi are LatticeSplines, never expanded.
     Where a sampling matrix S is built anyway (run_table, recovery sweeps,
-    surface) the sample values are S c, not conv at the sample points.
+    surface) the sample values are S @ c (SampleMatrix.__matmul__), not conv
+    at the sample points; for a separable factor pair that is
+    vec(A_x C B_y^T), with no dense S.
     """
 
     raw: dict
@@ -335,9 +337,11 @@ class ResultTable:
 def run_table(exp: Experiment) -> ResultTable:
     """Draw, reconstruct and measure errors for every configured (n, m).
 
-    A row's sample values are S c, with S its sampling matrix.  Every
-    error is a norm over the cuboid of the lattice spline of the
-    coefficient error delta = c - c_hat, which is f minus the
+    A row's sample values are S @ c, with S its sampling matrix; a
+    separable draw of a one-term generator keeps S as its factor pair
+    (A_x, B_y) and never forms the dense S, for S @ c, the solve or the
+    residual.  Every error is a norm over the cuboid of the lattice spline
+    of the coefficient error delta = c - c_hat, which is f minus the
     reconstruction, kept as one LatticeSpline and never expanded: the sup
     error is sup_norm's certified upper end and the L1 error abs_integral,
     both read from its cell form, and the L2 error is exact as
@@ -356,7 +360,7 @@ def run_table(exp: Experiment) -> ResultTable:
         samples = draw_samples(exp.density, n, m, rseed, exp.mode)
         S = _sample_matrix(exp.phi, exp.kernel, convolved, samples, exp.N)
         try:
-            res = solve(S, S.entries @ exp.signal.flatten())
+            res = solve(S, S @ exp.signal.flatten())
         except RankDeficientError as exc:
             rows.append(TableRow(n, m, rseed, exc.diagnostics))
             continue

@@ -622,8 +622,21 @@ def _term_grams(funcs, N: int, region, quad: QuadratureSpec) -> list:
 GRAM_BYTES = 256 << 20
 
 
+#: Bytes allowed for one dense sample matrix of n m rows and D columns; the
+#: thin SVD's U and _shifted_values' Khatri-Rao intermediates are as large.
+SAMPLE_BYTES = 256 << 20
+
+
 class ByteGuardError(MemoryError):
     """An array refused before allocation because it would exceed a byte limit such as GRAM_BYTES."""
+
+
+def _refuse_dense_samples(n: int, m: int, D: int) -> None:
+    """Raise ByteGuardError, before anything is allocated, if a dense n m x D sample matrix exceeds SAMPLE_BYTES."""
+    need = 8 * n * m * D
+    if need > SAMPLE_BYTES:
+        raise ByteGuardError(f"dense sample matrix of n = {n}, m = {m} samples and D = {D} columns needs "
+                             f"{need / 2 ** 20:.1f} MB, above SAMPLE_BYTES ({SAMPLE_BYTES / 2 ** 20:.1f} MB)")
 
 
 def _shift_gram(funcs, N: int, region, quad: QuadratureSpec) -> np.ndarray:

@@ -50,26 +50,42 @@ def _poly_eval(coeffs: np.ndarray, u: np.ndarray) -> np.ndarray:
 def _real_roots(coeffs: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Roots of every row p of ascending coefficients, and which lie in (0, h).
 
-    Returns (roots, inside), both shaped (rows, width - 1): the real parts of
-    each row's companion-matrix eigenvalues, found in one stacked call per
-    true degree, and a mask of the real ones strictly inside (0, h) of that
-    row.  Slots past a row's degree hold 0 and are not inside.
+    Returns (roots, inside), both shaped (rows, width - 1): each row's roots,
+    the real part for a complex pair, found in one stacked step per true
+    degree, and a mask of the real ones strictly inside (0, h) of that row.
+    A root counts as real when its imaginary part is below 1e-12.  Degree 1
+    is -c0 / c1.  Degree 2 takes the stable quadratic formula (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., sec. 1.8), and
+    a pair within the tolerance of real becomes the double root -c1 / (2 c2).
+    Higher degrees take the companion-matrix eigenvalues.  Slots past a
+    row's degree hold 0 and are not inside.
     """
     rows, width = coeffs.shape
     roots = np.zeros((rows, width - 1))
-    inside = np.zeros(roots.shape, dtype=bool)
+    real = np.zeros(roots.shape, dtype=bool)
     nonzero = coeffs != 0.0
     degree = np.where(nonzero.any(axis=1), width - 1 - np.argmax(nonzero[:, ::-1], axis=1), 0)
     for k in np.unique(degree[degree > 0]):
         sel = np.nonzero(degree == k)[0]
         c = coeffs[sel, : k + 1]
-        companion = np.zeros((len(sel), k, k))
-        companion[:, 0, :] = -c[:, k - 1::-1] / c[:, k:]
-        companion[:, np.arange(1, k), np.arange(k - 1)] = 1.0
-        z = np.linalg.eigvals(companion)
-        roots[sel, :k] = z.real
-        inside[sel, :k] = (np.abs(z.imag) < 1e-12) & (z.real > 0.0) & (z.real < h[sel, None])
-    return roots, inside
+        if k == 1:
+            roots[sel, 0], real[sel, 0] = -c[:, 0] / c[:, 1], True
+        elif k == 2:
+            c0, c1, c2 = c.T
+            disc = c1 * c1 - 4.0 * c0 * c2
+            roots[sel, :2] = (-c1 / (2.0 * c2))[:, None]
+            real[sel, :2] = (np.sqrt(np.maximum(-disc, 0.0)) / (2.0 * np.abs(c2)) < 1e-12)[:, None]
+            # two distinct real roots; |q| >= sqrt(disc) / 2 > 0
+            two = disc > 0.0
+            q = -0.5 * (c1[two] + np.copysign(np.sqrt(disc[two]), c1[two]))
+            roots[sel[two], 0], roots[sel[two], 1] = q / c2[two], c0[two] / q
+        else:
+            companion = np.zeros((len(sel), k, k))
+            companion[:, 0, :] = -c[:, k - 1::-1] / c[:, k:]
+            companion[:, np.arange(1, k), np.arange(k - 1)] = 1.0
+            z = np.linalg.eigvals(companion)
+            roots[sel, :k], real[sel, :k] = z.real, np.abs(z.imag) < 1e-12
+    return roots, real & (roots > 0.0) & (roots < h[:, None])
 
 
 def _merge_grids(*grids) -> np.ndarray:

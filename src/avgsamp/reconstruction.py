@@ -1,15 +1,15 @@
 """Sample-matrix assembly, least-squares recovery and dual functions.
 
-The sampling map restricted to the finite shift range is a dense matrix
-whose (row, column) entry is the convolved generator, shifted by the
-column's lattice offset, evaluated at the row's sample location.  Exact
-recovery on the finite subspace goes through the minimum-norm
-pseudo-inverse of that matrix; the same pseudo-inverse realizes the dual
-functions of the reconstruction formula.  A separable draw of one
-one-term generator gives a Kronecker product of per-axis matrices, whose
-pseudo-inverse is the product of theirs, so no SVD of the full matrix is
-taken there.  Rank-deficient draws raise (or are recorded as failures in
-trial loops), never silently retried.
+The sampling map restricted to the finite shift range is a matrix whose
+(row, column) entry is the convolved generator, shifted by the column's
+lattice offset, evaluated at the row's sample location.  Exact recovery
+on the finite subspace goes through the minimum-norm pseudo-inverse of
+that matrix; the same pseudo-inverse realizes the dual functions of the
+reconstruction formula.  A separable draw of one one-term generator gives
+a Kronecker product of per-axis matrices, whose pseudo-inverse is the
+product of theirs, so the full matrix is neither formed nor decomposed
+there.  Rank-deficient draws raise (or are recorded as failures in trial
+loops), never silently retried.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from .mixed_space import (
     LatticeSpline,
     TensorFunction,
     _axis_values,
+    _refuse_dense_samples,
     _shifted_values,
     estimate_stability,
     lpq_norm,
@@ -80,21 +81,24 @@ class RankDeficientError(ValueError):
 
 @dataclass
 class SampleMatrix:
-    """Dense sampling matrix with the provenance that built it.
+    """Sampling matrix S with the provenance that built it.
 
     entries[row, col] = (phi_i * psi)(x_j - k1, y_k - k2) with
     row = (j, k) in row-major order and col = (i, k1, k2) with the shift
     multi-index in lexicographic order.
 
-    factors holds the per-mode matrices whose Kronecker product is entries:
+    factors holds the per-mode matrices whose Kronecker product is S:
     (A_x, B_y) for a separable draw of one generator of one tensor term
-    w g_0(x) prod_a g_a(y_a); __post_init__ makes it (entries,) otherwise.
-    A_x[j, k1] = w g_0(x_j - k1) at the n distinct x's, and B_y, at the m
-    distinct y's, is the row-wise Khatri-Rao product of the g_a(y_a - k2_a);
-    kron(A_x, B_y) equals entries up to rounding.
+    w g_0(x) prod_a g_a(y_a), (entries,) otherwise.  A_x[j, k1] =
+    w g_0(x_j - k1) at the n distinct x's, and B_y, at the m distinct y's,
+    is the row-wise Khatri-Rao product of the g_a(y_a - k2_a); kron(A_x, B_y)
+    equals entries up to rounding.  S @ x and shape come from the factors,
+    so a factor pair is built without entries (None); reading them then
+    builds them from the provenance, refused above SAMPLE_BYTES, and keeps
+    them.  Entries given with a factor pair must match its shape.
     """
 
-    entries: np.ndarray
+    entries: np.ndarray | None
     phi: GeneratorSet
     kernel: AveragingKernel
     samples: SampleSet
@@ -104,12 +108,30 @@ class SampleMatrix:
     def __post_init__(self) -> None:
         if len(self.factors) < 2:
             self.factors = (self.entries,)
-        elif self.entries.shape != tuple(math.prod(n) for n in zip(*(F.shape for F in self.factors))):
+        elif self.entries is None:
+            del self.entries  # built by __getattr__ when first read
+        elif self.entries.shape != self.shape:
             raise ValueError("the Kronecker factors do not match the entries' shape")
+
+    def __getattr__(self, name: str):
+        # reached only for the entries that a factor pair left unbuilt
+        if name != "entries":
+            raise AttributeError(name)
+        self.entries = _dense_entries([convolve(g, self.kernel) for g in self.phi.generators],
+                                      self.samples, self.N)
+        return self.entries
 
     @property
     def shape(self) -> tuple[int, int]:
-        return self.entries.shape
+        return tuple(math.prod(n) for n in zip(*(F.shape for F in self.factors)))
+
+    def __matmul__(self, x) -> np.ndarray:
+        """S x: vec(A_x X B_y^T) for a factor pair, X being x as an (A_x columns) x (B_y columns)
+        array; entries @ x otherwise."""
+        if len(self.factors) == 1:
+            return self.factors[0] @ x
+        A, B = self.factors
+        return (A @ np.reshape(x, (A.shape[1], B.shape[1])) @ B.T).ravel()
 
 
 def build_sample_matrix(phi: GeneratorSet, kernel: AveragingKernel,
@@ -120,10 +142,19 @@ def build_sample_matrix(phi: GeneratorSet, kernel: AveragingKernel,
 
 def _sample_matrix(phi: GeneratorSet, kernel: AveragingKernel, convolved,
                    samples: SampleSet, N: int) -> SampleMatrix:
-    """build_sample_matrix from generators already convolved with the kernel."""
+    """build_sample_matrix from generators already convolved with the kernel; a separable
+    draw of one one-term generator gets its factor pair and no entries."""
+    factors = _kron_factors(convolved, samples, np.arange(-N, N + 1, dtype=float))
+    entries = None if factors else _dense_entries(convolved, samples, N)
+    return SampleMatrix(entries, phi, kernel, samples, N, factors)
+
+
+def _dense_entries(convolved, samples: SampleSet, N: int) -> np.ndarray:
+    """SampleMatrix.entries at every sample point, refused above SAMPLE_BYTES before allocation."""
     offsets = np.arange(-N, N + 1, dtype=float)
-    entries = _shifted_values(convolved, samples.points, [offsets] * phi.ndim)
-    return SampleMatrix(entries, phi, kernel, samples, N, _kron_factors(convolved, samples, offsets))
+    ndim = convolved[0].ndim
+    _refuse_dense_samples(samples.n, samples.m, len(convolved) * len(offsets) ** ndim)
+    return _shifted_values(convolved, samples.points, [offsets] * ndim)
 
 
 def _kron_factors(convolved, samples: SampleSet, offsets: np.ndarray) -> tuple:
@@ -185,15 +216,16 @@ def solve(S: SampleMatrix, samples_vec) -> LstsqResult:
     dual_family), so a separable draw of a one-term generator never takes
     the SVD of S itself.  A numerical rank (see RANK_TOL) below the column
     count raises RankDeficientError (the reconstruction identity is not
-    guaranteed there).  The residual is taken against S.entries.
+    guaranteed there).  The residual |S c - b| takes S @ c, so a factor
+    pair is never expanded into entries.
     """
     b = np.asarray(samples_vec, dtype=float).ravel()
-    rows = S.entries.shape[0]
+    rows = S.shape[0]
     if b.shape[0] != rows:
         raise ValueError(f"sample vector length {b.shape[0]} != row count {rows}")
     family = dual_family(S)
     grid = family.coefficients(b)
-    residual = float(np.linalg.norm(S.entries @ grid.flatten() - b))
+    residual = float(np.linalg.norm(S @ grid.flatten() - b))
     return LstsqResult(grid, residual, family.diagnostics)
 
 
@@ -360,23 +392,34 @@ class TrialSpec:
 
 @dataclass
 class TrialRecord:
-    """Outcome of one trial with its sample matrix's Diagnostics (None for inequality trials)."""
+    """Outcome of one trial.
+
+    A recovery trial keeps its coefficient error and its sample matrix's
+    Diagnostics.  An inequality trial builds no matrix, so both are None;
+    it keeps tested = (statistic, lower ||f||, upper ||f||), the statistic
+    and the two bounds it was tested against, written as statistic, lower
+    and upper.
+    """
 
     trial: int
     seed: int
     success: bool
-    error: float
+    error: float | None
     diagnostics: Diagnostics | None = None
+    tested: tuple | None = None
 
     def to_json(self) -> str:
         d = self.diagnostics
-        return json.dumps({
+        rec = {
             "trial": self.trial, "seed": self.seed, "success": self.success,
             "rank": d and d.rank, "rank_deficient": d and d.rank_deficient,
             "error": _jsonable(self.error),
             "sigma_min": d and _jsonable(d.sigma_min),
             "condition_number": d and _jsonable(d.condition_number),
-        }, sort_keys=True)
+        }
+        if self.tested is not None:
+            rec.update(zip(("statistic", "lower", "upper"), map(_jsonable, self.tested)))
+        return json.dumps(rec, sort_keys=True)
 
 
 @dataclass
@@ -421,24 +464,26 @@ def empirical_success(spec: TrialSpec, trials: int, seed: int,
     draws of a batch are then evaluated together and their dense sample
     matrices take solve's SVD step and rank rule, _factored_svd, as one
     stack, so memory stays bounded by TRIAL_BATCH_BYTES whatever `trials` is.
+    A batch admits at least one trial, so a recovery trial whose dense sample
+    matrix exceeds SAMPLE_BYTES raises ByteGuardError before the first draw.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     f = LatticeSpline(spec.phi, spec.coeffs)
     conv = convolve(f, spec.kernel)
 
-    lower = upper = fnorm = None
     if spec.kind in ("omega_inequality", "mu_inequality"):
         if spec.bounds is None:
             raise ValueError(f"{spec.kind} trials need bounds = (lower, upper)")
-        lower, upper = spec.bounds
         fnorm = mixed_norm(f, spec.p, spec.q)
+        lower, upper = (b * fnorm for b in spec.bounds)
     elif spec.kind != "recovery":
         raise ValueError(f"unknown trial kind {spec.kind!r}")
 
     recovery = spec.kind == "recovery"
     rows, cols = spec.n * spec.m, spec.coeffs.size
     if recovery:
+        _refuse_dense_samples(spec.n, spec.m, cols)
         shifts = [np.arange(-spec.N, spec.N + 1, dtype=float)] * spec.phi.ndim
         target = spec.coeffs.flatten()
     batch = _batch_size(spec)
@@ -462,8 +507,8 @@ def empirical_success(spec: TrialSpec, trials: int, seed: int,
                     stat = lpq_norm(vals, spec.p, spec.q)
                 else:
                     stat = float(np.sum(np.abs(vals)))
-                ok = lower * fnorm <= stat <= upper * fnorm
-                records.append(TrialRecord(t, tseed, bool(ok), 0.0))
+                records.append(TrialRecord(t, tseed, bool(lower <= stat <= upper), None,
+                                           tested=(stat, lower, upper)))
                 continue
             diagnostics = Diagnostics.of(sv[b], ranks[b], cols)
             err = math.inf if diagnostics.rank_deficient else float(np.max(np.abs(

@@ -244,10 +244,10 @@ def average_sample(f: LatticeSpline, kernel: AveragingKernel, point) -> float:
 def _abs_segment_integrals(coeffs: np.ndarray, h: np.ndarray) -> np.ndarray:
     """Exact integrals of |p| over [0, h] for every row p of ascending coefficients.
 
-    Each row is split at its real roots inside (0, h), found as companion
-    matrix eigenvalues in one stacked call per true degree; the
-    antiderivative is then evaluated at the sorted cuts in one Horner pass.
-    Unused cut slots hold 0 and add empty intervals.
+    Each row is split at its real roots inside (0, h), found by
+    _real_roots in one stacked step per true degree; the antiderivative
+    is then evaluated at the sorted cuts in one Horner pass.  Unused cut
+    slots hold 0 and add empty intervals.
     """
     rows, width = coeffs.shape
     cuts = np.zeros((rows, width + 1))

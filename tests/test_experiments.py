@@ -3,7 +3,10 @@
 import copy
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -11,7 +14,7 @@ import numpy as np
 import pytest
 from scipy.special import zeta
 
-from avgsamp import cli, experiments
+from avgsamp import cli, experiments, mixed_space
 from avgsamp.bounds import lattice_decay_sum
 from avgsamp.cli import main
 from avgsamp.experiments import (
@@ -719,6 +722,46 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: dense shift Gram of side 6750 needs 348 MB") and "GRAM_BYTES" in err
         assert not out.exists()
+
+    def _table_config(self, tmp_path, n, mode):
+        """The shipped quadratic config at one n x n size in the given sampling mode."""
+        raw = json.loads((ROOT / "configs" / "quadratic_bspline.json").read_text(encoding="utf-8"))
+        cfg = tmp_path / f"{mode}_{n}.json"
+        cfg.write_text(json.dumps(dict(raw, samples={"sizes": [[n, n]], "mode": mode})))
+        return cfg
+
+    def test_sample_matrix_guard_refuses_a_joint_table_but_not_a_separable_one(self, tmp_path, capsys,
+                                                                               monkeypatch):
+        # a 40x40 draw with D = 25 columns: 0.3 MB dense, which only the joint table forms
+        monkeypatch.setattr(mixed_space, "SAMPLE_BYTES", 1 << 18)
+        for mode, code in (("joint", 2), ("separable", 0)):
+            out = tmp_path / f"{mode}.csv"
+            assert main(["table", "--config", str(self._table_config(tmp_path, 40, mode)),
+                         "--out", str(out)]) == code
+            assert out.exists() == (code == 0)
+        assert capsys.readouterr().err == ("error: dense sample matrix of n = 40, m = 40 samples and "
+                                           "D = 25 columns needs 0.3 MB, above SAMPLE_BYTES (0.2 MB)\n")
+
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
+    def test_refused_table_peak_rss_stays_near_the_baseline(self, tmp_path):
+        # at 400x400 the joint matrix alone is 31 MB; unguarded, the run peaked about 130 MB above
+        # the 8x8 baseline, refused about 10 MB above it (the draw's own 160,000 points)
+        script = ("import sys\nfrom avgsamp import mixed_space\nfrom avgsamp.cli import main\n"
+                  "mixed_space.SAMPLE_BYTES = 1 << 20\n"
+                  "code = main(['table', '--config', sys.argv[1], '--out', sys.argv[2]])\n"
+                  "hwm = next(line for line in open('/proc/self/status') if line.startswith('VmHWM'))\n"
+                  "print(code, int(hwm.split()[1]) // 1024)\n")
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+
+        def run(n):
+            proc = subprocess.run([sys.executable, "-c", script, str(self._table_config(tmp_path, n, "joint")),
+                                   str(tmp_path / "t.csv")], capture_output=True, text=True, env=env, timeout=300)
+            code, peak_mb = proc.stdout.split()[-2:]
+            return int(code), int(peak_mb)
+
+        (base_code, base_mb), (code, peak_mb) = run(8), run(400)
+        assert (base_code, code) == (0, 2)
+        assert peak_mb <= base_mb + 32, (base_mb, peak_mb)
 
     def test_out_of_memory_is_not_a_refusal(self, tmp_path, monkeypatch):
         # only a byte guard's refusal exits 2; a real allocation failure propagates

@@ -24,6 +24,10 @@ singular values ``sv``, so coefficients, dual functions and the recovery
 sweep share it.  Nor may a second rank decision: only the record's
 ``reconstruction.Diagnostics.rank_deficient`` compares a rank with a column
 count.
+
+And a second eigenvalue root finder: ``np.linalg.eigvals`` is loaded in one
+package function, ``piecewise._real_roots``, which takes closed forms for
+degrees 1 and 2 and companion-matrix eigenvalues above them.
 """
 
 import ast
@@ -169,6 +173,26 @@ def loads_svd(node) -> bool:
     return ((isinstance(node, ast.Attribute) and node.attr == "svd")
             or (isinstance(node, ast.Name) and node.id == "svd")
             or (isinstance(node, ast.ImportFrom) and any(a.name == "svd" for a in node.names)))
+
+
+def loads_eigvals(node) -> bool:
+    """np.linalg.eigvals under any spelling: an attribute, a bare name or a from-import."""
+    return ((isinstance(node, ast.Attribute) and node.attr == "eigvals")
+            or (isinstance(node, ast.Name) and node.id == "eigvals")
+            or (isinstance(node, ast.ImportFrom) and any(a.name == "eigvals" for a in node.names)))
+
+
+def test_one_eigenvalue_root_finder():
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in PACKAGE.glob("*.py")}
+    assert call_sites(trees, loads_eigvals) == {"piecewise._real_roots"}
+
+
+def test_detects_a_second_eigenvalue_root_finder():
+    tree = ast.parse("import numpy as np\nfrom numpy.linalg import eigvals\n"
+                     "def a(C):\n    return np.linalg.eigvals(C)\n"
+                     "class B:\n    def c(self, C):\n        return eigvals(C)\n"
+                     "def d(C):\n    return np.linalg.eigvalsh(C)\n")
+    assert call_sites({"m.py": tree}, loads_eigvals) == {"m", "m.a", "m.B.c"}
 
 
 def raises_rank_deficient(node) -> bool:

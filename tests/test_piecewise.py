@@ -10,6 +10,7 @@ from avgsamp.piecewise import (
     PiecewisePoly1D,
     _merge_grids,
     _poly_eval,
+    _real_roots,
     _shift_poly,
     bspline,
     coefficient_distance,
@@ -392,3 +393,93 @@ class TestArithmetic:
             PiecewisePoly1D(np.array([0.0, 1.0]), np.zeros(1))
         with pytest.raises(ValueError):
             PiecewisePoly1D(np.array([0.0, 1.0]), np.zeros((1, 0)))
+
+
+def companion_roots(coeffs, h):
+    """Oracle for _real_roots: the real parts of every row's companion-matrix eigenvalues,
+    one stacked call per true degree, and the mask of the real ones (imaginary part below
+    1e-12) strictly inside (0, h)."""
+    rows, width = coeffs.shape
+    roots, inside = np.zeros((rows, width - 1)), np.zeros((rows, width - 1), dtype=bool)
+    nonzero = coeffs != 0.0
+    degree = np.where(nonzero.any(axis=1), width - 1 - np.argmax(nonzero[:, ::-1], axis=1), 0)
+    for k in np.unique(degree[degree > 0]):
+        sel = np.nonzero(degree == k)[0]
+        c = coeffs[sel, : k + 1]
+        companion = np.zeros((len(sel), k, k))
+        companion[:, 0, :] = -c[:, k - 1::-1] / c[:, k:]
+        companion[:, np.arange(1, k), np.arange(k - 1)] = 1.0
+        z = np.linalg.eigvals(companion)
+        roots[sel, :k] = z.real
+        inside[sel, :k] = (np.abs(z.imag) < 1e-12) & (z.real > 0.0) & (z.real < h[sel, None])
+    return roots, inside
+
+
+def inside_roots(roots, inside):
+    """Each row's inside roots in ascending order, padded with NaN."""
+    return np.sort(np.where(inside, roots, np.nan), axis=1)
+
+
+class TestRealRoots:
+    """The closed forms for degrees 1 and 2 against the companion-matrix eigenvalues."""
+
+    @staticmethod
+    def assert_match_the_oracle(coeffs, h):
+        got = inside_roots(*_real_roots(coeffs, h))
+        want = inside_roots(*companion_roots(coeffs, h))
+        assert np.array_equal(np.isnan(got), np.isnan(want))
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+    def test_random_rows(self):
+        rng = np.random.default_rng(11)
+        coeffs = rng.standard_normal((20000, 3))
+        coeffs[::4, 2] = 0.0  # degree 1
+        coeffs[1::4, 1] = 0.0  # c1 = 0
+        coeffs[2::8, 1:] = 0.0  # degree 0: no roots
+        h = rng.uniform(0.1, 3.0, len(coeffs))
+        self.assert_match_the_oracle(coeffs, h)
+        roots, inside = _real_roots(coeffs, h)
+        assert inside[::4, 1].sum() == 0 and 0 < inside.sum() < inside.size
+
+    @pytest.mark.parametrize("row, h, want", [
+        ([0.25 - 2.0 ** -54, -1.0, 1.0], 1.0, [0.5 - 2.0 ** -27, 0.5 + 2.0 ** -27]),  # disc = +2^-52
+        ([0.25 + 2.0 ** -54, -1.0, 1.0], 1.0, []),  # disc = -2^-52: a pair 2^-27 off the axis
+        ([0.25 + 2.0 ** -100, -1.0, 1.0], 1.0, [0.5, 0.5]),  # rounds to a double root
+        ([0.0, -1.0, 1.0], 1.0, []),  # roots at 0 and at h
+        ([0.25, -1.25, 1.0], 1.0, [0.25]),  # roots at 0.25 and at h
+        ([-0.75, 1.0, 0.0], 0.75, []),  # degree 1, root at h
+        ([0.0, 2.0, 0.0], 1.0, []),  # degree 1, root at 0
+        ([1e-3, -1.0, 1e-12], 1.0, [1e-3]),  # |c2| << |c1|: roots near 1e-3 and 1e12
+        ([-1.0, 1.0, 1e-17], 2.0, [1.0]),  # |c2| below one rounding of c1: roots near 1 and -1e17
+        ([-0.25, 0.0, 1.0], 1.0, [0.5]),  # c1 = 0, roots +-0.5
+        ([0.25, 0.0, 1.0], 1.0, []),  # c1 = 0, roots +-0.5i
+        ([0.0, 0.0, 3.0], 1.0, []),  # c1 = 0, double root at 0
+        ([0.25, -1.0, 1.0], 1.0, [0.5, 0.5]),  # double root
+        ([-1.0, 4.0, -4.0], 1.0, [0.5, 0.5]),  # double root, negative leading coefficient
+    ])
+    def test_adversarial_rows(self, row, h, want):
+        coeffs, hs = np.array([row]), np.array([h])
+        self.assert_match_the_oracle(coeffs, hs)
+        got = inside_roots(*_real_roots(coeffs, hs))[0]
+        np.testing.assert_allclose(got[~np.isnan(got)], want, rtol=1e-12, atol=0.0)
+
+    def test_exact_double_roots_read_as_real(self):
+        # disc is exactly 0 for these dyadic rows, so the closed form returns a itself; a
+        # double root moves by about sqrt(eps) under one rounding, so the oracle may read a
+        # pair 1e-8 off the axis (not real) or two real roots that far apart
+        a = np.arange(1, 64) / 64.0
+        coeffs = np.stack([a * a, -2.0 * a, np.ones_like(a)], axis=1) * 4.0
+        roots, inside = _real_roots(coeffs, np.ones_like(a))
+        assert inside.all() and np.array_equal(roots, np.stack([a, a], axis=1))
+        z, _ = companion_roots(coeffs, np.ones_like(a))
+        assert np.max(np.abs(z - roots)) <= 1e-7
+
+    def test_rows_of_degree_two_or_less_never_reach_the_eigensolver(self, monkeypatch):
+        def refuse(a):
+            raise AssertionError(f"eigvals on a {np.shape(a)} stack")
+
+        monkeypatch.setattr(np.linalg, "eigvals", refuse)
+        rng = np.random.default_rng(12)
+        _real_roots(rng.standard_normal((50, 3)), np.ones(50))
+        with pytest.raises(AssertionError, match="eigvals"):
+            _real_roots(rng.standard_normal((50, 4)), np.ones(50))

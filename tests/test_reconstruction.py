@@ -9,8 +9,10 @@ import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
 
-from avgsamp.experiments import build_experiment, load_config, run_table
+from avgsamp import mixed_space, reconstruction
+from avgsamp.experiments import build_experiment, constants_report, load_config, probability_sweep, run_table
 from avgsamp.mixed_space import (
+    ByteGuardError,
     CoefficientGrid,
     Cuboid,
     GeneratorSet,
@@ -371,6 +373,20 @@ class TestEmpiricalSuccess:
                 None, None, None, None)
             assert '"rank": null' in line
 
+    def test_inequality_records_say_by_how_much_they_missed(self, config_dir, tmp_path):
+        # every record carries its statistic and the bounds it was tested against, the
+        # report's factors times ||f||; trials 1, 2, 6 and 9 of this draw fall below the lower one
+        exp = load_config(config_dir / "linear_bspline.json")
+        probability_sweep(exp, [(2, 3)], 12, "mu", jsonl_dir=tmp_path)
+        recs = [json.loads(line) for line in (tmp_path / "trials_mu_2x3.jsonl").read_text().splitlines()]
+        rep, fnorm = constants_report(exp, "mu", n=2, m=3), mixed_norm(exp.f, exp.p, exp.q)
+        assert [r["trial"] for r in recs if not r["success"]] == [1, 2, 6, 9]
+        for r in recs:
+            assert r["error"] is None
+            assert (r["lower"], r["upper"]) == (rep["lower_constant"] * fnorm, rep["upper_constant"] * fnorm)
+            assert r["success"] == (r["lower"] <= r["statistic"] <= r["upper"])
+            assert r["success"] or r["statistic"] < r["lower"]
+
     def test_determinism(self, quadratic_setup):
         ck, rho, kernel, phi, coeffs = quadratic_setup
         spec = TrialSpec("recovery", phi, kernel, rho, coeffs, 2, 6, 6)
@@ -546,6 +562,19 @@ class TestKroneckerFactors:
                    res.residual, res.diagnostics.sigma_min)
             assert got == want, name
 
+    def test_a_factor_pair_forms_its_entries_only_when_read(self, quadratic_setup):
+        _, rho, kernel, phi, _ = quadratic_setup
+        samples = draw_samples(rho, 6, 7, 3, "separable")
+        S = build_sample_matrix(phi, kernel, samples, 2)
+        x = np.random.default_rng(4).standard_normal(25)
+        Sx = S @ x
+        assert S.shape == (42, 25) and "entries" not in vars(S)
+        # read on request: the bytes of the dense assembly, kept for the next read
+        dense = mixed_space._shifted_values([convolve(phi.generators[0], kernel)], samples.points,
+                                            [np.arange(-2.0, 3.0)] * 2)
+        assert np.array_equal(S.entries, dense) and S.entries is vars(S)["entries"]
+        assert np.max(np.abs(Sx - dense @ x)) <= 1e-15 * np.abs(dense).max() * np.abs(x).sum()
+
     def test_stale_factors_are_refused(self, quadratic_setup):
         import dataclasses
 
@@ -566,6 +595,12 @@ class TestKroneckerFactors:
         assert np.max(np.abs(res.grid.values - coeffs.values)) <= 1e-9 and res.residual <= 1e-9
 
 
+def separable_tables(config_dir):
+    """The scale_d2 table and a separable 40x40 quadratic_bspline table, one row each."""
+    raw = load_config(config_dir / "quadratic_bspline.json").raw
+    return [load_config(SCALE_D2), build_experiment(dict(raw, samples={"sizes": [[40, 40]], "mode": "separable"}))]
+
+
 def test_separable_tables_never_take_a_dense_svd(monkeypatch, config_dir):
     dense_svd = np.linalg.svd
 
@@ -577,10 +612,47 @@ def test_separable_tables_never_take_a_dense_svd(monkeypatch, config_dir):
     monkeypatch.setattr(np.linalg, "svd", guarded)
     with pytest.raises(AssertionError, match="dense SVD"):
         np.linalg.svd(np.zeros((1001, 2)))
-    raw = load_config(config_dir / "quadratic_bspline.json").raw
-    d1 = build_experiment(dict(raw, samples={"sizes": [[40, 40]], "mode": "separable"}))
-    for exp in (load_config(SCALE_D2), d1):
+    for exp in separable_tables(config_dir):
         (row,) = run_table(exp).rows
         assert row.n * row.m > 1000
         assert not row.rank_deficient and row.rank == exp.signal.size
         assert max(row.sup_error, row.l1_error, row.l2_error) <= RECOVERY_TOL
+
+
+def test_separable_tables_evaluate_the_generators_on_no_more_than_max_n_m_points(monkeypatch, config_dir):
+    shifted = mixed_space._shifted_values
+    for exp in separable_tables(config_dir):
+        ((n, m),) = exp.sample_sizes
+
+        def guarded(funcs, points, shifts, limit=max(n, m)):
+            if len(points) > limit:
+                raise AssertionError(f"_shifted_values on {len(points)} points")
+            return shifted(funcs, points, shifts)
+
+        for module in (mixed_space, reconstruction):
+            monkeypatch.setattr(module, "_shifted_values", guarded)
+        with pytest.raises(AssertionError, match=f"on {max(n, m) + 1} points"):
+            guarded(exp.phi.generators, np.zeros((max(n, m) + 1, exp.phi.ndim)), [np.zeros(1)] * exp.phi.ndim)
+        (row,) = run_table(exp).rows
+        assert not row.rank_deficient and row.rank == exp.signal.size
+        assert max(row.sup_error, row.l1_error, row.l2_error) <= RECOVERY_TOL
+
+
+def test_dense_sample_matrices_are_refused_above_the_byte_budget(monkeypatch, quadratic_setup):
+    _, rho, kernel, phi, coeffs = quadratic_setup
+    need = 8 * 20 * 20 * 25  # a 20x20 draw of 25 columns
+    message = r"dense sample matrix of n = 20, m = 20 samples and D = 25 columns needs 0\.1 MB"
+    monkeypatch.setattr(mixed_space, "SAMPLE_BYTES", need - 1)
+    with pytest.raises(ByteGuardError, match=message):
+        build_sample_matrix(phi, kernel, draw_samples(rho, 20, 20, 1), 2)
+    # a factor pair solves without its dense matrix, and refuses to form it on request
+    S = build_sample_matrix(phi, kernel, draw_samples(rho, 20, 20, 1, "separable"), 2)
+    assert np.max(np.abs(solve(S, S @ coeffs.flatten()).grid.values - coeffs.values)) <= RECOVERY_TOL
+    with pytest.raises(ByteGuardError, match=message):
+        S.entries
+    # the sweep refuses before its first draw, even for the one trial a batch always admits
+    for mode in ("joint", "separable"):
+        with pytest.raises(ByteGuardError, match=message):
+            empirical_success(TrialSpec("recovery", phi, kernel, rho, coeffs, 2, 20, 20, mode=mode), 1, 0)
+    monkeypatch.setattr(mixed_space, "SAMPLE_BYTES", need)
+    assert build_sample_matrix(phi, kernel, draw_samples(rho, 20, 20, 1), 2).shape == (400, 25)

@@ -2,6 +2,7 @@
 
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from numpy.polynomial import polynomial as P
@@ -397,6 +398,32 @@ class TestAbsIntegral:
         got = _abs_segment_integrals(coeffs, hs)
         want = np.array([scalar_abs_poly_integral(c, h) for c, h in zip(coeffs, hs)])
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14)
+
+    def test_quadratic_tangencies_match_mpmath(self):
+        # rows s (u - a)^2 + e, rounded to doubles: a tangency (e = 0), a pair of roots
+        # just apart (e < 0) or a pair just off the axis (e > 0), near 0 and h included
+        rng = np.random.default_rng(41)
+        h = rng.uniform(0.25, 2.0, 400)
+        a = np.concatenate([rng.uniform(0.0, 1.0, 394), [0.0, 1e-9, 1.0 - 1e-9, 1.0, 0.5, 0.5]]) * h
+        s = rng.choice([-1.0, 1.0], len(h)) * rng.uniform(0.5, 4.0, len(h))
+        e = s * np.resize([0.0, -1e-18, 1e-18, -1e-12, 1e-12], len(h))
+        coeffs = np.stack([s * a * a + e, -2.0 * s * a, s], axis=1)
+        want = []
+        with mpmath.workdps(50):  # the rounded rows, their roots and integrals at 50 digits
+            for (c0, c1, c2), hh in zip(coeffs, h):
+                c0, c1, c2, hh = (mpmath.mpf(float(v)) for v in (c0, c1, c2, hh))
+                disc = c1 * c1 - 4 * c0 * c2
+                cuts = [mpmath.mpf(0), hh]
+                if disc >= 0:
+                    cuts += [r for r in ((-c1 - sgn * mpmath.sqrt(disc)) / (2 * c2) for sgn in (-1, 1))
+                             if 0 < r < hh]
+                cuts.sort()
+
+                def anti(u):
+                    return c0 * u + c1 * u ** 2 / 2 + c2 * u ** 3 / 3
+
+                want.append(float(sum(abs(anti(v) - anti(u)) for u, v in zip(cuts, cuts[1:]))))
+        np.testing.assert_allclose(_abs_segment_integrals(coeffs, h), want, rtol=1e-13, atol=0.0)
 
     def test_three_dimensional_value_is_exact(self):
         """B2(x) B1(y1) (B2(y2) - 0.6 B2(y2 - 0.5)) has one sign change in y2."""

@@ -78,8 +78,8 @@ def reference_records(spec: TrialSpec, trials: int, seed: int) -> list[TrialReco
                 stat = lpq_norm(values, spec.p, spec.q)
             else:
                 stat = float(np.sum(np.abs(values)))
-            ok = lower * fnorm <= stat <= upper * fnorm
-            rec = TrialRecord(t, tseed, bool(ok), 0.0)
+            lo, hi = lower * fnorm, upper * fnorm
+            rec = TrialRecord(t, tseed, bool(lo <= stat <= hi), None, tested=(stat, lo, hi))
         records.append(rec)
     return records
 
