@@ -33,6 +33,7 @@ from .mixed_space import (
     GeneratorSet,
     LatticeSpline,
     _gram_form,
+    _refuse_dense_samples,
     _term_grams,
     decay_constant,
     estimate_stability,
@@ -45,6 +46,7 @@ from .reconstruction import (
     RankDeficientError,
     TrialSpec,
     beta_tilde,
+    _has_kron_factors,
     _sample_matrix,
     empirical_success,
     solve,
@@ -146,7 +148,8 @@ class Experiment:
     Where a sampling matrix S is built anyway (run_table, recovery sweeps,
     surface) the sample values are S @ c (SampleMatrix.__matmul__), not conv
     at the sample points; for a separable factor pair that is
-    vec(A_x C B_y^T), with no dense S.
+    vec(A_x C B_y^T), and the pair's dense S (SampleMatrix.entries) is
+    never formed here.
     """
 
     raw: dict
@@ -351,12 +354,16 @@ def run_table(exp: Experiment) -> ResultTable:
     built once per call.  Every row carries the sample matrix's Diagnostics,
     and a full-rank row the recovered coefficient grid.  Rank-deficient
     draws are recorded with NaN errors; they are reported, never retried.
+    A row whose draw would get a dense S above SAMPLE_BYTES is refused
+    before the draw, so a refused row allocates no sample points.
     """
     convolved = [convolve(g, exp.kernel) for g in exp.phi.generators]
     term_grams = _term_grams(exp.phi.generators, exp.N, exp.cuboid, exp.quad)
     rows = []
     for n, m in exp.sample_sizes:
         rseed = row_seed(exp.seed, n, m)
+        if not _has_kron_factors(exp.mode, convolved):
+            _refuse_dense_samples(n, m, exp.signal.size)
         samples = draw_samples(exp.density, n, m, rseed, exp.mode)
         S = _sample_matrix(exp.phi, exp.kernel, convolved, samples, exp.N)
         try:

@@ -50,7 +50,8 @@ RECOVERY_TOL = 1e-9
 @dataclass(frozen=True)
 class Diagnostics:
     """A draw's sample matrix: numerical rank (RANK_TOL), columns, columns-th singular value (0 with
-    fewer rows) and condition number (inf then).  rank_deficient is the package's one rank decision."""
+    fewer rows) and condition number (inf then).  rank_deficient is the package's one rank decision;
+    str() is the message of a rank-deficient record, the only kind that is printed."""
 
     rank: int
     columns: int
@@ -67,8 +68,7 @@ class Diagnostics:
         return self.rank < self.columns
 
     def __str__(self) -> str:
-        return (f"sample matrix has numerical rank {self.rank} "
-                f"{'<' if self.rank_deficient else '='} {self.columns} columns")
+        return f"sample matrix has numerical rank {self.rank} < {self.columns} columns"
 
 
 class RankDeficientError(ValueError):
@@ -79,7 +79,7 @@ class RankDeficientError(ValueError):
         self.diagnostics = diagnostics
 
 
-@dataclass
+@dataclass(frozen=True)
 class SampleMatrix:
     """Sampling matrix S with the provenance that built it.
 
@@ -87,39 +87,30 @@ class SampleMatrix:
     row = (j, k) in row-major order and col = (i, k1, k2) with the shift
     multi-index in lexicographic order.
 
-    factors holds the per-mode matrices whose Kronecker product is S:
-    (A_x, B_y) for a separable draw of one generator of one tensor term
-    w g_0(x) prod_a g_a(y_a), (entries,) otherwise.  A_x[j, k1] =
-    w g_0(x_j - k1) at the n distinct x's, and B_y, at the m distinct y's,
-    is the row-wise Khatri-Rao product of the g_a(y_a - k2_a); kron(A_x, B_y)
-    equals entries up to rounding.  S @ x and shape come from the factors,
-    so a factor pair is built without entries (None); reading them then
-    builds them from the provenance, refused above SAMPLE_BYTES, and keeps
-    them.  Entries given with a factor pair must match its shape.
+    factors is S's one stored form, the per-mode matrices whose Kronecker
+    product is S: (A_x, B_y) for a separable draw of one generator of one
+    tensor term w g_0(x) prod_a g_a(y_a), (entries,) otherwise.
+    A_x[j, k1] = w g_0(x_j - k1) at the n distinct x's, and B_y, at the m
+    distinct y's, is the row-wise Khatri-Rao product of the g_a(y_a - k2_a).
+    S @ x and shape come from the factors; entries is derived from them
+    (see there).  Another matrix is dataclasses.replace(S, factors=(X,)).
     """
 
-    entries: np.ndarray | None
+    factors: tuple
     phi: GeneratorSet
     kernel: AveragingKernel
     samples: SampleSet
     N: int
-    factors: tuple = field(default=(), repr=False)
 
-    def __post_init__(self) -> None:
-        if len(self.factors) < 2:
-            self.factors = (self.entries,)
-        elif self.entries is None:
-            del self.entries  # built by __getattr__ when first read
-        elif self.entries.shape != self.shape:
-            raise ValueError("the Kronecker factors do not match the entries' shape")
-
-    def __getattr__(self, name: str):
-        # reached only for the entries that a factor pair left unbuilt
-        if name != "entries":
-            raise AttributeError(name)
-        self.entries = _dense_entries([convolve(g, self.kernel) for g in self.phi.generators],
-                                      self.samples, self.N)
-        return self.entries
+    @property
+    def entries(self) -> np.ndarray:
+        """The dense S: the one factor itself, or kron(A_x, B_y) of a pair, formed on each
+        read (never kept) and refused above SAMPLE_BYTES before allocation."""
+        if len(self.factors) == 1:
+            return self.factors[0]
+        A, B = self.factors
+        _refuse_dense_samples(A.shape[0], B.shape[0], A.shape[1] * B.shape[1])
+        return np.kron(A, B)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -142,24 +133,26 @@ def build_sample_matrix(phi: GeneratorSet, kernel: AveragingKernel,
 
 def _sample_matrix(phi: GeneratorSet, kernel: AveragingKernel, convolved,
                    samples: SampleSet, N: int) -> SampleMatrix:
-    """build_sample_matrix from generators already convolved with the kernel; a separable
-    draw of one one-term generator gets its factor pair and no entries."""
-    factors = _kron_factors(convolved, samples, np.arange(-N, N + 1, dtype=float))
-    entries = None if factors else _dense_entries(convolved, samples, N)
-    return SampleMatrix(entries, phi, kernel, samples, N, factors)
-
-
-def _dense_entries(convolved, samples: SampleSet, N: int) -> np.ndarray:
-    """SampleMatrix.entries at every sample point, refused above SAMPLE_BYTES before allocation."""
+    """build_sample_matrix from generators already convolved with the kernel: _kron_factors'
+    pair, else the dense S at every sample point, refused above SAMPLE_BYTES beforehand."""
     offsets = np.arange(-N, N + 1, dtype=float)
-    ndim = convolved[0].ndim
-    _refuse_dense_samples(samples.n, samples.m, len(convolved) * len(offsets) ** ndim)
-    return _shifted_values(convolved, samples.points, [offsets] * ndim)
+    factors = _kron_factors(convolved, samples, offsets)
+    if not factors:
+        ndim = convolved[0].ndim
+        _refuse_dense_samples(samples.n, samples.m, len(convolved) * len(offsets) ** ndim)
+        factors = (_shifted_values(convolved, samples.points, [offsets] * ndim),)
+    return SampleMatrix(factors, phi, kernel, samples, N)
+
+
+def _has_kron_factors(mode: str, funcs) -> bool:
+    """Whether a draw in this mode of these generators has a Kronecker factor pair: a separable
+    draw of one one-term generator."""
+    return mode == "separable" and len(funcs) == 1 and len(funcs[0].terms) == 1
 
 
 def _kron_factors(convolved, samples: SampleSet, offsets: np.ndarray) -> tuple:
-    """SampleMatrix.factors: (A_x, B_y) of a separable draw of one one-term generator, else ()."""
-    if samples.mode != "separable" or len(convolved) != 1 or len(convolved[0].terms) != 1:
+    """SampleMatrix.factors: (A_x, B_y) of a draw with _has_kron_factors, else ()."""
+    if not _has_kron_factors(samples.mode, convolved):
         return ()
     (f,), ((_, fs),) = convolved, convolved[0].terms
     A = _axis_values(f, samples.points[::samples.m], 0, offsets)[:, :, 0]

@@ -28,6 +28,7 @@ from avgsamp.experiments import (
     run_table,
 )
 from avgsamp.mixed_space import (
+    ByteGuardError,
     CoefficientGrid,
     LatticeSpline,
     _shift_gram,
@@ -397,6 +398,27 @@ class TestRunTable:
                 assert diag.sigma_min == pytest.approx(sv[-1], rel=1e-12)
                 assert diag.condition_number == pytest.approx(sv[0] / sv[-1], rel=1e-12)
 
+    def test_a_dense_table_is_refused_before_its_draw(self, config_dir, monkeypatch):
+        # a joint 400x400 draw's dense S is 31 MB; refused before its 160,000 points are drawn
+        draws, draw = [], experiments.draw_samples
+
+        def spy(*args, **kwargs):
+            draws.append(args[1:3])
+            return draw(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "draw_samples", spy)
+        monkeypatch.setattr(mixed_space, "SAMPLE_BYTES", 1 << 20)
+        raw = load_config(config_dir / "quadratic_bspline.json").raw
+        joint, separable = (build_experiment(dict(raw, samples={"sizes": [[400, 400]], "mode": mode}))
+                            for mode in ("joint", "separable"))
+        with pytest.raises(ByteGuardError, match=re.escape(
+                "dense sample matrix of n = 400, m = 400 samples and D = 25 columns needs 30.5 MB, "
+                "above SAMPLE_BYTES (1.0 MB)")):
+            run_table(joint)
+        assert draws == []
+        (row,) = run_table(separable).rows
+        assert draws == [(400, 400)] and not row.rank_deficient
+
     def test_reseeded_run_still_accurate(self):
         exp = build_experiment(minimal_config(), seed_override=123456)
         row = run_table(exp).rows[0]
@@ -745,7 +767,7 @@ class TestCli:
     @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
     def test_refused_table_peak_rss_stays_near_the_baseline(self, tmp_path):
         # at 400x400 the joint matrix alone is 31 MB; unguarded, the run peaked about 130 MB above
-        # the 8x8 baseline, refused about 10 MB above it (the draw's own 160,000 points)
+        # the 8x8 baseline; refused before its draw of 160,000 points, it peaks at the baseline
         script = ("import sys\nfrom avgsamp import mixed_space\nfrom avgsamp.cli import main\n"
                   "mixed_space.SAMPLE_BYTES = 1 << 20\n"
                   "code = main(['table', '--config', sys.argv[1], '--out', sys.argv[2]])\n"

@@ -125,7 +125,7 @@ class TestSolve:
         import dataclasses
 
         S2 = dataclasses.replace(
-            S, entries=np.concatenate([S.entries, S.entries[:10]], axis=0))
+            S, factors=(np.concatenate([S.entries, S.entries[:10]], axis=0),))
         res2 = solve(S2, np.concatenate([values, values[:10]]))
         assert np.max(np.abs(res2.grid.values - base)) <= 1e-9
 
@@ -472,6 +472,12 @@ def factored(S):
     return fam, int(rank), sv
 
 
+def dense_assembly(S):
+    """S's entries assembled independently of its factors, at every sample point."""
+    return mixed_space._shifted_values([convolve(g, S.kernel) for g in S.phi.generators], S.samples.points,
+                                       [np.arange(-S.N, S.N + 1.0)] * S.phi.ndim)
+
+
 def pinv_tolerance(kappa: float) -> float:
     """Relative agreement of two pseudo-inverses of a matrix with condition number kappa.
 
@@ -487,8 +493,9 @@ class TestKroneckerFactors:
         for n, m, S in separable_draws:
             A, B = S.factors
             assert A.shape == (n, 5) and B.shape == (m, S.shape[1] // 5)
-            scale = np.max(np.abs(S.entries))
-            assert np.max(np.abs(np.kron(A, B) - S.entries)) <= 1e-15 * scale
+            dense = dense_assembly(S)
+            scale = np.max(np.abs(dense))
+            assert np.max(np.abs(np.kron(A, B) - dense)) <= 1e-15 * scale
 
     def test_rank_and_singular_values_match_the_dense_svd(self, separable_draws):
         near = deficient = 0
@@ -562,34 +569,29 @@ class TestKroneckerFactors:
                    res.residual, res.diagnostics.sigma_min)
             assert got == want, name
 
-    def test_a_factor_pair_forms_its_entries_only_when_read(self, quadratic_setup):
+    def test_a_factor_pairs_entries_are_derived_and_never_stored(self, quadratic_setup):
         _, rho, kernel, phi, _ = quadratic_setup
-        samples = draw_samples(rho, 6, 7, 3, "separable")
-        S = build_sample_matrix(phi, kernel, samples, 2)
-        x = np.random.default_rng(4).standard_normal(25)
-        Sx = S @ x
-        assert S.shape == (42, 25) and "entries" not in vars(S)
-        # read on request: the bytes of the dense assembly, kept for the next read
-        dense = mixed_space._shifted_values([convolve(phi.generators[0], kernel)], samples.points,
-                                            [np.arange(-2.0, 3.0)] * 2)
-        assert np.array_equal(S.entries, dense) and S.entries is vars(S)["entries"]
-        assert np.max(np.abs(Sx - dense @ x)) <= 1e-15 * np.abs(dense).max() * np.abs(x).sum()
+        exp = load_config(SCALE_D2)
+        draws = [(phi, kernel, draw_samples(rho, 6, 7, 3, "separable"), 0.0),
+                 (exp.phi, exp.kernel, draw_samples(exp.density, 24, 120, 3, "separable"), 1e-15)]
+        for ph, ke, samples, rtol in draws:
+            S = build_sample_matrix(ph, ke, samples, 2)
+            x = np.random.default_rng(4).standard_normal(S.shape[1])
+            Sx = S @ x
+            assert S.shape == (samples.n * samples.m, 5 ** ph.ndim) and "entries" not in vars(S)
+            # kron(A_x, B_y), bitwise the dense assembly at d = 1, formed on each read
+            dense = dense_assembly(S)
+            assert np.max(np.abs(S.entries - dense)) <= rtol * np.abs(dense).max()
+            assert S.entries is not S.entries and "entries" not in vars(S)
+            assert np.max(np.abs(Sx - dense @ x)) <= 1e-15 * np.abs(dense).max() * np.abs(x).sum()
 
-    def test_stale_factors_are_refused(self, quadratic_setup):
-        import dataclasses
-
-        _, rho, kernel, phi, _ = quadratic_setup
-        S = build_sample_matrix(phi, kernel, draw_samples(rho, 6, 6, 3, "separable"), 2)
-        with pytest.raises(ValueError, match="Kronecker factors"):
-            dataclasses.replace(S, entries=S.entries[:30])
-
-    def test_replaced_entries_are_their_own_factor(self, quadratic_setup):
-        # a one-factor matrix is its entries, so replacing them (same shape) solves the new matrix
+    def test_a_replaced_single_factor_solves_the_new_matrix(self, quadratic_setup):
+        # a one-factor matrix is its entries, so replacing its factor (same shape) solves the new matrix
         import dataclasses
 
         ck, rho, kernel, phi, coeffs = quadratic_setup
         S = build_sample_matrix(phi, kernel, draw_samples(rho, 6, 6, 3), 2)
-        S2 = dataclasses.replace(S, entries=S.entries[::-1])
+        S2 = dataclasses.replace(S, factors=(S.entries[::-1],))
         assert len(S2.factors) == 1 and S2.factors[0] is S2.entries
         res = solve(S2, S2.entries @ coeffs.flatten())
         assert np.max(np.abs(res.grid.values - coeffs.values)) <= 1e-9 and res.residual <= 1e-9
